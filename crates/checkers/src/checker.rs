@@ -232,7 +232,10 @@ pub fn checker_set_fingerprint() -> u64 {
     // path-feasibility engine classifies every path-based witness.
     // v4: findings carry engine attributions; the within-unit dedup
     // unions checker/engine lists instead of dropping duplicates.
-    const CHECKER_LOGIC_VERSION: u64 = 4;
+    // v5: origins run to their fixpoint in FIFO order and a budget
+    // trip is reported (and withholds the function's findings) instead
+    // of being silent.
+    const CHECKER_LOGIC_VERSION: u64 = 5;
     let mut h: u64 = 0xcbf29ce484222325; // FNV-1a offset basis
     let mut eat = |bytes: &[u8]| {
         for &b in bytes {

@@ -206,11 +206,14 @@ pub enum UnitErrorKind {
     /// Graph construction or checking panicked; the unit's findings
     /// were dropped.
     CheckPanic,
+    /// A fixpoint budget cut one or more functions' analyses short
+    /// (variable origins or path feasibility).
+    AnalysisTruncated,
 }
 
 impl UnitErrorKind {
     /// Every kind, in taxonomy order.
-    pub fn all() -> [UnitErrorKind; 9] {
+    pub fn all() -> [UnitErrorKind; 10] {
         use UnitErrorKind::*;
         [
             Io,
@@ -222,6 +225,7 @@ impl UnitErrorKind {
             ParseDepth,
             GraphBlowup,
             CheckPanic,
+            AnalysisTruncated,
         ]
     }
 
@@ -243,6 +247,7 @@ impl UnitErrorKind {
             UnitErrorKind::ParseDepth => "parse_depth",
             UnitErrorKind::GraphBlowup => "graph_blowup",
             UnitErrorKind::CheckPanic => "check_panic",
+            UnitErrorKind::AnalysisTruncated => "analysis_truncated",
         }
     }
 }
@@ -653,11 +658,29 @@ pub(crate) fn check_one(
                 None => DeltaEngine::new(),
             }));
         }
-        let fs = run_engines_traced(tu, kb, &graphs, &engines, program, trace);
-        (graphs.len(), capped, fs, feas)
+        let mut fs = run_engines_traced(tu, kb, &graphs, &engines, program, trace);
+        // A cut origins state can lack the origin that ties an alias's
+        // release to its acquisition, which reads as a leak: withhold
+        // such a function's findings rather than report what the
+        // converged analysis might refute.
+        let withheld: Vec<&str> = graphs
+            .iter()
+            .filter(|g| g.origins.truncated())
+            .map(|g| g.name())
+            .collect();
+        fs.retain(|f| !withheld.contains(&f.function.as_str()));
+        let truncated: Vec<CachedError> = graphs
+            .iter()
+            .filter(|g| g.analysis_truncated())
+            .map(|g| CachedError {
+                kind: UnitErrorKind::AnalysisTruncated,
+                detail: truncation_detail(g),
+            })
+            .collect();
+        (graphs.len(), capped, fs, feas, truncated)
     });
     match checked {
-        Ok((functions, capped, findings, feas)) => {
+        Ok((functions, capped, findings, feas, truncated)) => {
             trace.record_span("feasibility", Some(&unit.path), start, feas);
             let mut errors = Vec::new();
             if let Some(first) = capped.first() {
@@ -666,6 +689,7 @@ pub(crate) fn check_one(
                     detail: first.to_string(),
                 });
             }
+            errors.extend(truncated);
             CheckedUnit {
                 findings,
                 functions,
@@ -681,6 +705,25 @@ pub(crate) fn check_one(
             }],
         },
     }
+}
+
+/// The diagnostic detail for a function whose fixpoint budget ran out:
+/// which analyses were cut and what that did to its findings.
+fn truncation_detail(g: &FunctionGraph) -> String {
+    let consequence = if g.origins.truncated() {
+        "its findings are withheld"
+    } else {
+        "no path was pruned"
+    };
+    let analyses = match (g.origins.truncated(), g.feas.truncated()) {
+        (true, true) => "origins and feasibility",
+        (true, false) => "origins",
+        _ => "feasibility",
+    };
+    format!(
+        "function `{}`: {analyses} fixpoint budget exhausted; {consequence}",
+        g.name()
+    )
 }
 
 /// Runs the full audit over a project.

@@ -1,8 +1,9 @@
 //! Runs the `scripts/verify.sh` release gate against prebuilt binaries,
-//! so the one-shot fmt → clippy → build → test → chaos → trace → serve
-//! → diff → bench chain stays wired into the test suite. The cargo-based
-//! steps (fmt, clippy, build, test) are skipped because this test
-//! already runs under cargo — re-entering it here would recurse.
+//! so the one-shot fmt → clippy → build → test → perfbench → chaos →
+//! trace → serve → diff → bench chain stays wired into the test suite.
+//! The cargo-based steps (fmt, clippy, build, test, perfbench) are
+//! skipped because this test already runs under cargo — re-entering it
+//! here would recurse.
 
 use std::path::Path;
 use std::process::Command;
@@ -24,7 +25,7 @@ fn verify_script_chains_chaos_and_bench_to_a_single_pass() {
     ));
     let out = Command::new("bash")
         .arg(script())
-        .env("VERIFY_SKIP", "fmt clippy build test")
+        .env("VERIFY_SKIP", "fmt clippy build test perfbench")
         .env("REFMINER_BIN", env!("CARGO_BIN_EXE_refminer"))
         .env("CHAOSGEN_BIN", env!("CARGO_BIN_EXE_chaosgen"))
         .env("HISTGEN_BIN", env!("CARGO_BIN_EXE_histgen"))
@@ -54,6 +55,10 @@ fn verify_script_chains_chaos_and_bench_to_a_single_pass() {
     );
     assert!(
         stdout.contains("verify.sh: [test] skipped"),
+        "stdout:\n{stdout}"
+    );
+    assert!(
+        stdout.contains("verify.sh: [perfbench] skipped"),
         "stdout:\n{stdout}"
     );
     assert!(
@@ -87,7 +92,7 @@ fn verify_script_fails_fast_with_the_step_name() {
         .arg(script())
         .env(
             "VERIFY_SKIP",
-            "fmt clippy build test chaos trace serve diff",
+            "fmt clippy build test perfbench chaos trace serve diff",
         )
         .env("BENCHPIPE_BIN", "/bin/false")
         .output()

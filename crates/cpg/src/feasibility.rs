@@ -477,6 +477,8 @@ impl CondChecks {
 #[derive(Debug, Clone, Default)]
 pub struct FeasAnalysis {
     infeasible: HashSet<(NodeId, NodeId, EdgeKind)>,
+    /// Whether the budget stopped the fixpoint, leaving no pruning.
+    truncated: bool,
 }
 
 impl FeasAnalysis {
@@ -485,6 +487,19 @@ impl FeasAnalysis {
     /// of a monotone system is unique, and the contradiction pass is a
     /// plain scan in node order.
     pub fn compute(cfg: &Cfg, facts: &[NodeFacts]) -> FeasAnalysis {
+        // Each (node, variable) ascends a 3-step chain, so the true
+        // bound is tiny; the budget is a defensive backstop.
+        Self::compute_with_budget(cfg, facts, (cfg.nodes.len() + 1) * 64)
+    }
+
+    /// [`FeasAnalysis::compute`] with an explicit cap on node visits.
+    /// A run that hits the cap abandons pruning rather than
+    /// over-pruning, and reports [`FeasAnalysis::truncated`].
+    pub(crate) fn compute_with_budget(
+        cfg: &Cfg,
+        facts: &[NodeFacts],
+        mut budget: usize,
+    ) -> FeasAnalysis {
         let n = cfg.nodes.len();
         let writes: Vec<Vec<(String, Option<i64>)>> =
             cfg.nodes.iter().map(|nd| node_writes(&nd.kind)).collect();
@@ -505,14 +520,13 @@ impl FeasAnalysis {
         let mut queued = vec![false; n];
         queue.push_back(cfg.entry);
         queued[cfg.entry] = true;
-        // Each (node, variable) ascends a 3-step chain, so the true
-        // bound is tiny; the budget is a defensive backstop that, if
-        // ever hit, abandons pruning rather than over-pruning.
-        let mut budget = (n + 1) * 64;
         while let Some(node) = queue.pop_front() {
             queued[node] = false;
             if budget == 0 {
-                return FeasAnalysis::default();
+                return FeasAnalysis {
+                    infeasible: HashSet::new(),
+                    truncated: true,
+                };
             }
             budget -= 1;
             let mut out = env_in[node].clone().unwrap_or_default();
@@ -552,7 +566,15 @@ impl FeasAnalysis {
                 }
             }
         }
-        FeasAnalysis { infeasible }
+        FeasAnalysis {
+            infeasible,
+            truncated: false,
+        }
+    }
+
+    /// Whether the fixpoint budget ran out, so no edge was pruned.
+    pub fn truncated(&self) -> bool {
+        self.truncated
     }
 
     /// Whether taking this edge contradicts the constraints that reach
@@ -602,6 +624,19 @@ mod tests {
         let facts: Vec<NodeFacts> = cfg.nodes.iter().map(NodeFacts::of).collect();
         let feas = FeasAnalysis::compute(&cfg, &facts);
         (cfg, facts, feas)
+    }
+
+    #[test]
+    fn tiny_budget_reports_truncation_and_prunes_nothing() {
+        let src = "int f(void) { int ret = 0; if (ret) return -1; return 0; }";
+        let tu = parse_str("t.c", src);
+        let cfg = Cfg::build(tu.function("f").unwrap());
+        let facts: Vec<NodeFacts> = cfg.nodes.iter().map(NodeFacts::of).collect();
+        let full = FeasAnalysis::compute(&cfg, &facts);
+        assert!(full.active() && !full.truncated());
+        let cut = FeasAnalysis::compute_with_budget(&cfg, &facts, 2);
+        assert!(cut.truncated());
+        assert!(!cut.active());
     }
 
     fn leak_query<'a>(facts: &'a [NodeFacts], exit: NodeId, put: &'a str) -> PathQuery<'a> {

@@ -163,6 +163,12 @@ impl FunctionGraph {
         (graphs, skipped, feas_time)
     }
 
+    /// Whether a fixpoint budget cut one of this function's analyses
+    /// short: its origins may be missing, or feasibility pruned nothing.
+    pub fn analysis_truncated(&self) -> bool {
+        self.origins.truncated() || self.feas.truncated()
+    }
+
     /// The function name.
     pub fn name(&self) -> &str {
         &self.func.name

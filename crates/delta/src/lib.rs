@@ -35,6 +35,8 @@
 //! function never acquired drives the interval negative; a subsequent
 //! dereference on some path is a use-after-decrease.
 
+use std::collections::VecDeque;
+
 use refminer_checkers::{
     has_any_paired_dec, inc_sites, AnalysisEngine, AntiPattern, CheckCtx, EngineId, Finding, Impact,
 };
@@ -299,25 +301,40 @@ fn exit_interval(ctx: &CheckCtx<'_>, seed: &Seed<'_>) -> Option<Interval> {
     // out[n]: delta interval after n executes, on live paths.
     let mut out: Vec<Option<Interval>> = vec![None; cfg.nodes.len()];
     out[seed.node] = Some(Interval::exact(1));
-    let mut work: Vec<NodeId> = vec![seed.node];
-    while let Some(n) = work.pop() {
+    // What entering each node does to a live path: `None` when the node
+    // transfers ownership (the path dies), else its net effect.
+    // Computed once per node, on first reach.
+    let mut effect: Vec<Option<Option<i8>>> = vec![None; cfg.nodes.len()];
+    // FIFO worklist with an in-queue bitmap. The clamped interval
+    // lattice has finite height and the transfer is monotone, so the
+    // fixpoint does not depend on the visit order.
+    let mut queue: VecDeque<NodeId> = VecDeque::from([seed.node]);
+    let mut queued = vec![false; cfg.nodes.len()];
+    queued[seed.node] = true;
+    while let Some(n) = queue.pop_front() {
+        queued[n] = false;
         let Some(cur) = out[n] else { continue };
         for &(m, kind) in cfg.succs(n) {
             if null_edge(n, m, kind) {
                 // The object is NULL on this branch: no reference held.
                 continue;
             }
-            if transfers(ctx, &seed.object, m) {
+            let Some(effect) = *effect[m].get_or_insert_with(|| {
+                (!transfers(ctx, &seed.object, m)).then(|| node_effect(ctx, seed, m))
+            }) else {
                 continue;
-            }
-            let next = cur.shift(node_effect(ctx, seed, m));
+            };
+            let next = cur.shift(effect);
             let joined = match out[m] {
                 Some(prev) => prev.join(next),
                 None => next,
             };
             if out[m] != Some(joined) {
                 out[m] = Some(joined);
-                work.push(m);
+                if !queued[m] {
+                    queued[m] = true;
+                    queue.push_back(m);
+                }
             }
         }
     }
