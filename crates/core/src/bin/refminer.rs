@@ -23,8 +23,9 @@
 //!     --csv                    emit findings as CSV
 //!     --no-discovery           skip API/smartloop discovery
 //!     --stats                  print per-pattern/per-impact summaries, plus
-//!                              the trace summary (per-stage times, slowest
-//!                              units, per-checker time, cache hit rates)
+//!                              peak RSS and the trace summary (per-stage
+//!                              times, slowest units, per-checker time,
+//!                              cache hit rates)
 //!     --trace <FILE>           write a structured span/counter log (JSON
 //!                              lines) covering every pipeline stage
 //!     --strict                 exit 3 if any unit was degraded/skipped
@@ -402,6 +403,9 @@ fn main() -> ExitCode {
             "phases: {:.3}s parse, {:.3}s export+check",
             report.phase1_secs, report.phase2_secs
         );
+        if let Some(kib) = refminer::trace::peak_rss_kib() {
+            eprintln!("peak RSS: {} MiB", kib.div_ceil(1024));
+        }
         if !d.is_clean() {
             for (kind, count) in d.by_kind() {
                 eprintln!("  {}: {count}", kind.name());

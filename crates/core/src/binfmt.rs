@@ -442,11 +442,6 @@ pub(crate) fn encode_parsed(out: &mut Vec<u8>, p: &ParsedUnit) {
     put_vec(out, &p.errors, put_error);
     put_vec(out, &p.defines, put_macro);
     put_discovery(out, &p.discovery);
-    put_vec(out, &p.syms, |o, (name, is_static)| {
-        put_str(o, name);
-        put_bool(o, *is_static);
-    });
-    put_vec(out, &p.called, |o, n| put_str(o, n));
 }
 
 pub(crate) fn decode_parsed(bytes: &[u8]) -> Option<ParsedUnit> {
@@ -458,10 +453,6 @@ pub(crate) fn decode_parsed(bytes: &[u8]) -> Option<ParsedUnit> {
         errors: get_vec(&mut d, get_error)?,
         defines: get_vec(&mut d, get_macro)?,
         discovery: get_discovery(&mut d)?,
-        syms: get_vec(&mut d, |d| {
-            Some((std::sync::Arc::from(d.str()?), d.bool()?))
-        })?,
-        called: get_vec(&mut d, |d| d.str().map(std::sync::Arc::from))?,
     };
     d.is_done().then_some(p)
 }
@@ -572,8 +563,6 @@ mod tests {
                     ObjectFlow::Arg(0),
                 )],
             },
-            syms: vec![("probe".into(), true), ("widget_put".into(), false)],
-            called: vec!["kref_put".into(), "of_node_get".into()],
         };
         let mut bytes = Vec::new();
         encode_parsed(&mut bytes, &p);
@@ -584,8 +573,6 @@ mod tests {
         assert_eq!(back.errors, p.errors);
         assert_eq!(back.defines, p.defines);
         assert_eq!(back.discovery, p.discovery);
-        assert_eq!(back.syms, p.syms);
-        assert_eq!(back.called, p.called);
     }
 
     #[test]

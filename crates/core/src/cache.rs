@@ -12,12 +12,10 @@
 //! - **Parse layer** — keyed by `(content hash, parse limits, seed-KB
 //!   fingerprint)`. Holds the unit's macro defines, line count,
 //!   parse-stage diagnostics, per-unit discovery facts
-//!   ([`UnitDiscovery`]), defined symbols, called names, and (in
-//!   memory) the parsed [`TranslationUnit`] itself. Discovery and the
-//!   symbol/call digests live here — not in the export layer — so the
-//!   cross-unit KB merge and the streaming scheduler's dependency graph
-//!   are available the moment parsing ends, before any graphs are
-//!   built.
+//!   ([`UnitDiscovery`]), and (in memory) the parsed
+//!   [`TranslationUnit`] itself. Discovery lives here — not in the
+//!   export layer — so the cross-unit KB merge is available the moment
+//!   parsing ends, before any graphs are built.
 //! - **Export layer** — keyed by `(unit key, export config)`. Holds the
 //!   unit's function-effect exports ([`UnitExports`]), which are
 //!   whole-tree-independent, so editing one file re-exports exactly
@@ -122,9 +120,10 @@ pub fn mix(h: u64, word: u64) -> u64 {
 /// On-format version of the parse layer; bump when parse-time
 /// extraction changes what a [`ParsedUnit`] carries.
 /// v2: parse entries hold per-unit discovery, defined symbols and
-/// called names (moved out of the export layer so the KB merge and the
-/// streaming scheduler's dependency graph need no graphs).
-const PARSE_VERSION: u64 = 2;
+/// called names (moved out of the export layer so the KB merge needs
+/// no graphs).
+/// v3: the defined-symbol and called-name digests are gone.
+const PARSE_VERSION: u64 = 3;
 
 /// Fingerprint of the parse-stage configuration. Folds the builtin
 /// seed KB because per-unit discovery (now computed at parse time)
@@ -245,14 +244,6 @@ pub struct ParsedUnit {
     pub lines: usize,
     /// Per-unit discovery facts for the cross-unit KB merge.
     pub discovery: UnitDiscovery,
-    /// `(name, is_static)` of every function *defined* in the unit, in
-    /// source order — the supply side of the dependency graph. Interned
-    /// (`Arc<str>`): the streaming scheduler's closure map shares these
-    /// allocations instead of cloning names per edge.
-    pub syms: Vec<(Arc<str>, bool)>,
-    /// Names *called* anywhere in the unit, sorted and deduplicated —
-    /// the demand side of the dependency graph. Interned like `syms`.
-    pub called: Vec<Arc<str>>,
 }
 
 /// The check stage's result for one unit.
@@ -357,18 +348,6 @@ enum Slot<T> {
     Disk { off: usize, len: usize },
 }
 
-impl<T> Clone for Slot<T> {
-    fn clone(&self) -> Slot<T> {
-        match self {
-            Slot::Mem(v) => Slot::Mem(v.clone()),
-            Slot::Disk { off, len } => Slot::Disk {
-                off: *off,
-                len: *len,
-            },
-        }
-    }
-}
-
 /// Looks `key` up in a slot map, decoding and memoizing a disk slot on
 /// first touch. A payload that fails to decode (checksum-collision
 /// territory) is dropped — the lookup becomes a miss, never a wrong
@@ -467,7 +446,8 @@ pub const QUARANTINE_SUFFIX: &str = ".corrupt";
 /// v5: findings carry per-engine attribution (the two-engine audit
 /// core); check entries serialized under v4 would deserialize with
 /// empty engine lists and mislabel confidence.
-const CACHE_VERSION: u64 = 5;
+/// v6: parse entries drop the defined-symbol and called-name digests.
+const CACHE_VERSION: u64 = 6;
 
 /// First bytes of every cache file; anything else is not ours.
 const MAGIC: [u8; 8] = *b"RFMCACHE";
@@ -574,13 +554,6 @@ impl AuditCache {
         arc
     }
 
-    /// Export-layer insert of an already-shared digest (the streaming
-    /// scheduler hands exports back as `Arc`s); counts the miss.
-    pub(crate) fn export_put_arc(&mut self, key: u64, unit: Arc<UnitExports>) {
-        self.stats.export_misses += 1;
-        self.export.insert(key, Slot::Mem(unit));
-    }
-
     /// Check-layer lookup; counts a hit.
     pub(crate) fn check_get(&mut self, unit_key: u64, kb_fp: u64) -> Option<Arc<CheckedUnit>> {
         let hit = slot_get(
@@ -606,22 +579,6 @@ impl AuditCache {
         let arc = Arc::new(unit);
         self.check.insert((unit_key, kb_fp), Slot::Mem(arc.clone()));
         arc
-    }
-
-    /// An immutable snapshot of the check layer that worker threads can
-    /// probe concurrently while the streaming scheduler runs. Cheap:
-    /// clones the slot map (Arcs and byte ranges), not the payloads.
-    pub(crate) fn check_snapshot(&self) -> CheckSnapshot {
-        CheckSnapshot {
-            map: self.check.clone(),
-            raw: self.raw.clone(),
-        }
-    }
-
-    /// Re-inserts a snapshot hit as a decoded entry (no stat counting —
-    /// the caller accounts hits when it takes them from the snapshot).
-    pub(crate) fn check_memoize(&mut self, unit_key: u64, kb_fp: u64, unit: Arc<CheckedUnit>) {
-        self.check.insert((unit_key, kb_fp), Slot::Mem(unit));
     }
 
     /// Discovery-layer lookup; counts a hit.
@@ -927,26 +884,6 @@ impl AuditCache {
                                     Value::Arr(p.defines.iter().map(macro_to_json).collect()),
                                 ),
                                 ("discovery", unit_discovery_to_json(&p.discovery)),
-                                (
-                                    "syms",
-                                    Value::Arr(
-                                        p.syms
-                                            .iter()
-                                            .map(|(n, s)| {
-                                                obj([
-                                                    ("name", n.to_json()),
-                                                    ("static", s.to_json()),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                                (
-                                    "called",
-                                    Value::Arr(
-                                        p.called.iter().map(|c| c.as_ref().to_json()).collect(),
-                                    ),
-                                ),
                             ]))
                         })
                         .collect(),
@@ -1026,31 +963,6 @@ impl AuditCache {
             let Some(discovery) = entry.get("discovery").and_then(unit_discovery_from_json) else {
                 continue;
             };
-            let syms: Option<Vec<(Arc<str>, bool)>> = entry
-                .get("syms")
-                .and_then(Value::as_array)
-                .map(|a| {
-                    a.iter()
-                        .map(|s| {
-                            Some((
-                                Arc::from(s.get("name")?.as_str()?),
-                                s.get("static")?.as_bool()?,
-                            ))
-                        })
-                        .collect()
-                })
-                .unwrap_or(None);
-            let Some(syms) = syms else { continue };
-            let called: Option<Vec<Arc<str>>> = entry
-                .get("called")
-                .and_then(Value::as_array)
-                .map(|a| {
-                    a.iter()
-                        .map(|c| c.as_str().map(Arc::from))
-                        .collect::<Option<_>>()
-                })
-                .unwrap_or(None);
-            let Some(called) = called else { continue };
             self.parse.insert(
                 key,
                 Slot::Mem(Arc::new(ParsedUnit {
@@ -1060,8 +972,6 @@ impl AuditCache {
                     errors,
                     lines,
                     discovery,
-                    syms,
-                    called,
                 })),
             );
         }
@@ -1110,27 +1020,6 @@ impl AuditCache {
             self.discovery.insert(tree, Slot::Mem(Arc::new(kb)));
         }
         true
-    }
-}
-
-/// A point-in-time, thread-shareable view of the check layer. Workers
-/// in the streaming scheduler probe it without locking the cache;
-/// `get` decodes disk slots transiently (the owning cache memoizes via
-/// [`AuditCache::check_memoize`] when the caller reports the hit).
-pub(crate) struct CheckSnapshot {
-    map: HashMap<(u64, u64), Slot<CheckedUnit>>,
-    raw: Option<Arc<FileBytes>>,
-}
-
-impl CheckSnapshot {
-    pub(crate) fn get(&self, unit_key: u64, kb_fp: u64) -> Option<Arc<CheckedUnit>> {
-        match self.map.get(&(unit_key, kb_fp))? {
-            Slot::Mem(v) => Some(v.clone()),
-            Slot::Disk { off, len } => {
-                let bytes = self.raw.as_ref()?;
-                binfmt::decode_checked(&bytes[*off..*off + *len]).map(Arc::new)
-            }
-        }
     }
 }
 
@@ -1559,8 +1448,6 @@ mod tests {
             errors: Vec::new(),
             lines,
             discovery: UnitDiscovery::default(),
-            syms: Vec::new(),
-            called: Vec::new(),
         }
     }
 
@@ -1668,8 +1555,6 @@ mod tests {
             RcClass::Specific,
             ObjectFlow::Arg(0),
         ));
-        p.syms = vec![("probe".into(), true)];
-        p.called = vec!["of_node_put".into()];
         cache.parse_put(5, p);
         cache.export_put(
             13,
@@ -1700,8 +1585,6 @@ mod tests {
         assert!(p.tu.is_none(), "ASTs must not round-trip through disk");
         assert_eq!(p.lines, 40);
         assert_eq!(p.discovery.apis[0].name, "widget_put");
-        assert_eq!(p.syms, vec![(Arc::<str>::from("probe"), true)]);
-        assert_eq!(p.called, vec![Arc::<str>::from("of_node_put")]);
         let e = reloaded.export_get(13).expect("export entry");
         assert_eq!(e.fns[0].calls[0].callee, "of_node_put");
         assert_eq!(reloaded.stats.check_hits, 1);
@@ -1763,8 +1646,9 @@ mod tests {
     fn json_doc_carries_the_same_content_as_the_binary() {
         let mut cache = AuditCache::new();
         let mut p = parsed(17);
-        p.syms = vec![("f".into(), false)];
-        p.called = vec!["g".into()];
+        p.discovery
+            .apis
+            .push(RcApi::dec("f_put", RcClass::Specific, ObjectFlow::Arg(0)));
         cache.parse_put(1, p);
         cache.export_put(
             2,
@@ -1849,9 +1733,11 @@ mod tests {
                 let mut p = parsed((next() % 1000) as usize);
                 p.parsed_ok = next() % 2 == 0;
                 for s in 0..(next() % 4) {
-                    p.syms
-                        .push((format!("fn_{round}_{e}_{s}").into(), next() % 2 == 0));
-                    p.called.push(format!("callee_{}", next() % 7).into());
+                    p.discovery.apis.push(RcApi::dec(
+                        format!("put_{round}_{e}_{s}"),
+                        RcClass::Specific,
+                        ObjectFlow::Arg((next() % 3) as usize),
+                    ));
                 }
                 if next() % 2 == 0 {
                     p.errors.push(CachedError {
@@ -1952,33 +1838,6 @@ mod tests {
         assert_eq!(c.len().0, 1, "poisoned entry is dropped");
         assert_eq!(c.parse_get(2).expect("neighbor survives").lines, 20);
         assert_eq!(c.stats.parse_hits, 1);
-    }
-
-    #[test]
-    fn check_snapshot_serves_disk_and_mem_slots() {
-        let mut cache = AuditCache::new();
-        cache.check_put(
-            1,
-            2,
-            CheckedUnit {
-                findings: Vec::new(),
-                functions: 6,
-                errors: Vec::new(),
-            },
-        );
-        let bytes = cache.to_bytes();
-        let mut reloaded = AuditCache::new();
-        assert!(reloaded.load_bytes(bytes));
-        let snap = reloaded.check_snapshot();
-        assert_eq!(snap.get(1, 2).expect("disk slot").functions, 6);
-        assert!(snap.get(9, 9).is_none());
-        // Memoizing a snapshot hit keeps the layer servable without
-        // counting a duplicate hit.
-        let arc = snap.get(1, 2).unwrap();
-        reloaded.check_memoize(1, 2, arc);
-        assert_eq!(reloaded.stats.check_hits, 0);
-        assert_eq!(reloaded.check_get(1, 2).unwrap().functions, 6);
-        assert_eq!(reloaded.stats.check_hits, 1);
     }
 
     #[test]

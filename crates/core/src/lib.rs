@@ -31,7 +31,6 @@ mod history;
 pub mod parallel;
 mod project;
 pub mod serve;
-mod stream;
 
 pub use audit::{
     audit, audit_cancellable, audit_traced, audit_with_cache, AuditConfig, AuditDiagnostics,

@@ -41,28 +41,34 @@ fn bench_smoke_script_passes() {
     assert!(v.get("speedup_warm").is_some());
     assert!(v.get("speedup_parallel").is_some());
     assert!(v.get("runs").is_some());
-    // Schema 8: the scaling curve, the binary-vs-JSON load comparison,
+    // Schema 9: the scaling curve, the binary-vs-JSON load comparison,
     // the per-engine phase-2 time split, the fix-history diff replay,
-    // the fixcheck replay, the release-ladder history replay, and
-    // explicit gate states. A skipped gate must be visible, not a
+    // the fixcheck replay, the release-ladder history replay, peak RSS,
+    // and explicit gate states. A skipped gate must be visible, not a
     // silent pass.
-    assert_eq!(v.get("schema").and_then(|s| s.as_f64()), Some(8.0));
+    assert_eq!(v.get("schema").and_then(|s| s.as_f64()), Some(9.0));
     let cores = v.get("cores").and_then(|c| c.as_u64()).expect("cores");
     let jobs = v.get("jobs").and_then(|c| c.as_u64()).expect("jobs");
-    for gate_key in ["parallel_gate", "streaming_gate"] {
-        let gate = v
-            .get(gate_key)
-            .and_then(|g| g.as_str())
-            .unwrap_or_else(|| panic!("{gate_key} present"));
-        assert!(
-            gate == "enforced" || gate == "skipped",
-            "unexpected {gate_key} {gate:?}"
-        );
-        assert_eq!(
-            gate == "enforced",
-            cores >= 4 && jobs >= 4,
-            "{gate_key} state must match the host: cores={cores} jobs={jobs}"
-        );
+    let gate = v
+        .get("parallel_gate")
+        .and_then(|g| g.as_str())
+        .expect("parallel_gate present");
+    assert!(
+        gate == "enforced" || gate == "skipped",
+        "unexpected parallel_gate {gate:?}"
+    );
+    assert_eq!(
+        gate == "enforced",
+        cores >= 4 && jobs >= 4,
+        "parallel_gate state must match the host: cores={cores} jobs={jobs}"
+    );
+    assert!(v.get("streaming_gate").is_none(), "retired gate reported");
+    // Peak RSS is reported wherever /proc exposes it, and never as 0.
+    let rss = v.get("peak_rss_mb").and_then(|r| r.as_f64());
+    if std::path::Path::new("/proc/self/status").exists() {
+        assert!(rss.expect("peak_rss_mb present") > 0.0);
+    } else {
+        assert!(rss.is_none());
     }
 
     // The worker-count scaling curve: at least the sequential rung,

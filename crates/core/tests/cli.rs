@@ -201,6 +201,29 @@ fn stats_reports_unit_outcomes() {
 }
 
 #[test]
+fn stats_reports_peak_rss() {
+    // Peak RSS comes from `VmHWM` in /proc/self/status; where that file
+    // does not exist the line is omitted, so there is nothing to check.
+    if !std::path::Path::new("/proc/self/status").exists() {
+        return;
+    }
+    let dir = write_demo_tree();
+    let out = refminer().arg("--stats").arg(&dir).output().expect("run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let line = stderr
+        .lines()
+        .find(|l| l.starts_with("peak RSS: "))
+        .unwrap_or_else(|| panic!("no peak RSS line: {stderr}"));
+    let mib: u64 = line
+        .strip_prefix("peak RSS: ")
+        .and_then(|r| r.strip_suffix(" MiB"))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("malformed line {line:?}"));
+    assert!(mib > 0, "peak RSS printed as 0");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn jobs_flag_output_is_byte_identical() {
     let dir = write_demo_tree();
     let seq = refminer()

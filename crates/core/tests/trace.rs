@@ -182,6 +182,61 @@ fn top_level_stage_times_fit_within_the_total() {
 }
 
 #[test]
+fn stage_spans_enclose_their_unit_spans() {
+    // Phase 2 is a barrier pipeline, so every per-unit span of a stage
+    // lies inside that stage's span, and the program-database merge
+    // between export and check takes real time. Two workers make the
+    // fan-out genuinely parallel.
+    let dir = write_corpus_tree("enclose");
+    let trace_path = dir.join("trace.jsonl");
+    let out = refminer()
+        .args(["--json", "--jobs", "2", "--trace"])
+        .arg(&trace_path)
+        .arg(&dir)
+        .output()
+        .expect("run");
+    assert!(out.status.code().is_some_and(|c| c <= 1), "{out:?}");
+    let text = std::fs::read_to_string(&trace_path).expect("trace file written");
+    let spans: Vec<(String, u64, u64)> = text
+        .lines()
+        .map(|l| Value::parse(l).expect("trace line"))
+        .filter(|v| field(v, "type").as_str() == Some("span"))
+        .map(|v| {
+            (
+                field(&v, "stage").as_str().unwrap().to_string(),
+                field(&v, "start_us").as_u64().unwrap(),
+                field(&v, "dur_us").as_u64().unwrap(),
+            )
+        })
+        .collect();
+    let stage = |name: &str| -> (u64, u64) {
+        let mut it = spans.iter().filter(|(s, _, _)| s == name);
+        let &(_, start, dur) = it.next().unwrap_or_else(|| panic!("no {name} span"));
+        assert!(it.next().is_none(), "one {name} span per audit");
+        (start, start + dur)
+    };
+    for (outer, inner) in [("export", "export.unit"), ("check", "check.unit")] {
+        let (lo, hi) = stage(outer);
+        let mut seen = 0;
+        for (_, start, dur) in spans.iter().filter(|(s, _, _)| s == inner) {
+            // Start and duration are each truncated to whole
+            // microseconds, so an end may read up to 1µs late.
+            assert!(
+                *start >= lo && start + dur <= hi + 1,
+                "{inner} [{start}, {}] outside {outer} [{lo}, {hi}]",
+                start + dur
+            );
+            seen += 1;
+        }
+        assert!(seen > 0, "no {inner} spans");
+    }
+    let (merge_lo, merge_hi) = stage("merge.progdb");
+    assert!(merge_hi > merge_lo, "merge.progdb has zero width");
+    assert!(stage("export").1 <= merge_lo && merge_hi <= stage("check").0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn tracing_never_changes_findings() {
     let dir = write_corpus_tree("bytes");
     let trace_path = dir.join("trace.jsonl");

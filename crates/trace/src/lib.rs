@@ -512,9 +512,34 @@ impl ToJson for TraceSummary {
     }
 }
 
+/// The `VmHWM` (peak resident set size) of a `/proc/<pid>/status`
+/// text, in KiB. `None` when the line is missing, malformed or zero.
+fn vm_hwm_kib(status: &str) -> Option<u64> {
+    let rest = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let mut parts = rest.split_whitespace();
+    let kib: u64 = parts.next()?.parse().ok()?;
+    (parts.next() == Some("kB") && kib > 0).then_some(kib)
+}
+
+/// This process's peak RSS in KiB, read from `/proc/self/status`;
+/// `None` where that file is unreadable or has no `VmHWM` line.
+pub fn peak_rss_kib() -> Option<u64> {
+    vm_hwm_kib(&std::fs::read_to_string("/proc/self/status").ok()?)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn reads_vm_hwm_from_status_text() {
+        let status = "Name:\tx\nVmPeak:\t 900000 kB\nVmHWM:\t  170716 kB\nVmRSS:\t 1 kB\n";
+        assert_eq!(vm_hwm_kib(status), Some(170_716));
+        assert_eq!(vm_hwm_kib("VmRSS:\t 10 kB\n"), None);
+        assert_eq!(vm_hwm_kib("VmHWM:\t lots kB\n"), None);
+        assert_eq!(vm_hwm_kib("VmHWM:\t 10 MB\n"), None);
+        assert_eq!(vm_hwm_kib("VmHWM:\t 0 kB\n"), None);
+    }
 
     #[test]
     fn disabled_handle_is_inert() {

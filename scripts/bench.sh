@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Pipeline benchmark smoke run: audit a synthetic tree cold/warm over
-# the {1, 2, 4, N} worker ladder, write BENCH_pipeline.json (schema 6),
-# and enforce the speedup gates (warm >= 5x always; parallel >= 2x and
-# streaming-beats-barrier only on machines with at least four hardware
-# threads; binary cache load >= 3x vs JSON only on >= 1000-file trees —
+# the {1, 2, 4, N} worker ladder, write BENCH_pipeline.json (schema 9),
+# and enforce the speedup gates (warm >= 5x always; parallel >= 2x only
+# on machines with at least four hardware threads; binary cache load
+# >= 3x vs JSON only on >= 1000-file trees —
 # everywhere else benchpipe prints an explicit SKIP and records the
 # gate as "skipped" in the report).
 #
@@ -17,7 +17,7 @@
 # With BENCH_BIG=1, a third run audits the kernel-scale replicated
 # corpus (~10k files / ~1 MLoC with the default replica count). At that
 # size the binary >= 3x load gate is always enforced, and on >= 4-core
-# hosts so is the streaming-beats-barrier cold-path gate.
+# hosts so is the parallel >= 2x gate.
 #
 # Env:
 #   BENCHPIPE_BIN    prebuilt binary; default `cargo run --release`
@@ -88,8 +88,8 @@ echo "bench.sh: eval F1 $(eval_top_key f1_off) -> $(eval_top_key f1_on) with fea
 echo "bench.sh: combined two-engine F1 $(eval_top_key f1_combined) vs template-only $(eval_top_key f1_template_only)"
 
 # Kernel-scale corpus gates: the ~10k-file replicated tree, where the
-# binary >= 3x load gate always applies (and the streaming cold-path
-# gate applies on >= 4-core hosts). One rep — a cold MLoC audit per
+# binary >= 3x load gate always applies (and the parallel >= 2x gate
+# applies on >= 4-core hosts). One rep — a cold MLoC audit per
 # ladder rung is the expensive part, and the gates compare medians of
 # seconds, not microseconds.
 if [ "${BENCH_BIG:-0}" = "1" ]; then
