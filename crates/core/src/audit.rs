@@ -217,12 +217,6 @@ impl UnitErrorKind {
         ]
     }
 
-    /// Parses the stable name back into the kind (inverse of
-    /// [`UnitErrorKind::name`]); used when loading a persisted cache.
-    pub fn from_name(name: &str) -> Option<UnitErrorKind> {
-        UnitErrorKind::all().into_iter().find(|k| k.name() == name)
-    }
-
     /// Stable lower-snake name, used in reports and JSON output.
     pub fn name(&self) -> &'static str {
         match self {

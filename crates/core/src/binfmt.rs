@@ -16,7 +16,7 @@
 //!   degrades to a cache miss, never to wrong results.)
 //! - **Deterministic**: equal values encode to equal bytes. Knowledge
 //!   bases serialize their APIs and smartloops in sorted-name order,
-//!   exactly like the JSON codec, so fingerprints are order-free.
+//!   so `kb_fingerprint`, which hashes this encoding, is order-free.
 //!
 //! Primitive wire forms, all little-endian: `u64` (8 bytes), `u32`
 //! (4 bytes), `u8` tags, `bool` as `0/1`, strings and vectors prefixed
@@ -501,7 +501,7 @@ pub(crate) fn decode_checked(bytes: &[u8]) -> Option<CheckedUnit> {
 
 /// Encodes a knowledge base with APIs and smartloops in sorted-name
 /// order — equal KBs encode identically regardless of map iteration
-/// order, mirroring the JSON codec used by `kb_fingerprint`.
+/// order, which is what lets `kb_fingerprint` hash these bytes.
 pub(crate) fn encode_kb(out: &mut Vec<u8>, kb: &ApiKb) {
     let mut apis: Vec<&RcApi> = kb.apis().collect();
     apis.sort_by(|a, b| a.name.cmp(&b.name));
@@ -517,8 +517,8 @@ pub(crate) fn encode_kb(out: &mut Vec<u8>, kb: &ApiKb) {
     }
 }
 
-/// Rebuilds a knowledge base; all-or-nothing like the JSON codec — a
-/// partially-loaded KB would silently change findings.
+/// Rebuilds a knowledge base, all or nothing: a partially-loaded KB
+/// would silently change findings.
 pub(crate) fn decode_kb(bytes: &[u8]) -> Option<ApiKb> {
     let mut d = Dec::new(bytes);
     let mut kb = ApiKb::new();
@@ -540,12 +540,22 @@ mod tests {
         let p = ParsedUnit {
             tu: None,
             parsed_ok: true,
-            defines: vec![MacroDef {
-                name: "for_each_w".into(),
-                params: Some(vec!["w".into()]),
-                body: "for (w = w_first(); w; w = w_next(w))".into(),
-                line: 3,
-            }],
+            defines: vec![
+                MacroDef {
+                    name: "for_each_w".into(),
+                    params: Some(vec!["w".into()]),
+                    body: "for (w = w_first(); w; w = w_next(w))".into(),
+                    line: 3,
+                },
+                // Object-like: no parameter list at all, which is not
+                // the same as an empty one.
+                MacroDef {
+                    name: "N".into(),
+                    params: None,
+                    body: "4".into(),
+                    line: 1,
+                },
+            ],
             errors: vec![CachedError {
                 kind: UnitErrorKind::LexNoise,
                 detail: "2 lex error(s)".into(),
@@ -632,6 +642,10 @@ mod tests {
         let back = decode_kb(&bytes).expect("round trip");
         assert_eq!(back.len(), kb.len());
         assert!(back.get("pm_runtime_get_sync").unwrap().inc_on_error);
+        assert_eq!(
+            back.smartloop("for_each_child_of_node").unwrap().iter_arg,
+            1
+        );
         let mut again = Vec::new();
         encode_kb(&mut again, &back);
         assert_eq!(bytes, again, "re-encoding is byte-stable");

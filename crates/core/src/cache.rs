@@ -54,9 +54,10 @@
 //! deserializes lazily on first use
 //! ([`Slot`]). Saving copies still-undecoded payloads byte-for-byte
 //! from the loaded buffer, so a warm save doesn't re-encode what it
-//! never touched. The same atomic temp-file + rename publish and
-//! quarantine-on-corruption self-healing as the JSON era apply, through
-//! the same `refminer-faultio` seams.
+//! never touched. Saves publish atomically (temp file + rename) and a
+//! corrupt or version-mismatched file is quarantined, both through the
+//! `refminer-faultio` seams. This container is the cache's only
+//! format.
 //!
 //! Keys fold in every configuration input that can change the stage's
 //! output — resource limits, the nesting threshold, the checker-set
@@ -69,15 +70,13 @@ use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use refminer_checkers::{checker_set_fingerprint, AntiPattern, Finding, Impact};
+use refminer_checkers::{checker_set_fingerprint, Finding};
 use refminer_clex::MacroDef;
 use refminer_cparse::TranslationUnit;
 use refminer_faultio::FileBytes;
 use refminer_json::{obj, ToJson, Value};
-use refminer_progdb::{CallSite, FnExport, UnitExports};
-use refminer_rcapi::{
-    ApiKb, ObjectFlow, RcApi, RcClass, RcDir, SmartLoop, StructFact, UnitDiscovery,
-};
+use refminer_progdb::UnitExports;
+use refminer_rcapi::{ApiKb, UnitDiscovery};
 
 use crate::audit::{AuditConfig, UnitErrorKind};
 use crate::binfmt;
@@ -204,11 +203,14 @@ pub fn discovery_config_fingerprint(config: &AuditConfig) -> u64 {
     h
 }
 
-/// Deterministic fingerprint of a knowledge base: APIs and smartloops
-/// serialized in sorted-name order, hashed. Two KBs with equal content
-/// fingerprint identically regardless of hash-map iteration order.
+/// Deterministic fingerprint of a knowledge base: FNV-1a over its
+/// binary cache encoding, which writes APIs and smartloops in
+/// sorted-name order. Two KBs with equal content fingerprint
+/// identically regardless of hash-map iteration order.
 pub fn kb_fingerprint(kb: &ApiKb) -> u64 {
-    fnv1a(kb_to_json(kb).to_string().as_bytes())
+    let mut bytes = Vec::new();
+    binfmt::encode_kb(&mut bytes, kb);
+    fnv1a(&bytes)
 }
 
 // ----------------------------------------------------------------------
@@ -376,21 +378,6 @@ fn slot_get<K: Eq + std::hash::Hash + Copy, T>(
     }
 }
 
-/// Decodes a slot without touching the map (for `&self` serializers).
-fn slot_peek<'a, T: Clone>(
-    slot: &'a Slot<T>,
-    raw: &Option<Arc<FileBytes>>,
-    decode: impl Fn(&[u8]) -> Option<T>,
-) -> Option<std::borrow::Cow<'a, T>> {
-    match slot {
-        Slot::Mem(v) => Some(std::borrow::Cow::Borrowed(&**v)),
-        Slot::Disk { off, len } => {
-            let bytes = raw.as_ref()?;
-            decode(&bytes[*off..*off + *len]).map(std::borrow::Cow::Owned)
-        }
-    }
-}
-
 // ----------------------------------------------------------------------
 // The cache proper.
 // ----------------------------------------------------------------------
@@ -447,7 +434,9 @@ pub const QUARANTINE_SUFFIX: &str = ".corrupt";
 /// core); check entries serialized under v4 would deserialize with
 /// empty engine lists and mislabel confidence.
 /// v6: parse entries drop the defined-symbol and called-name digests.
-const CACHE_VERSION: u64 = 6;
+/// v7: `kb_fingerprint` hashes the binary KB encoding; every key folds
+/// it in, so no v6 entry is addressable any more.
+const CACHE_VERSION: u64 = 7;
 
 /// First bytes of every cache file; anything else is not ours.
 const MAGIC: [u8; 8] = *b"RFMCACHE";
@@ -843,592 +832,14 @@ impl AuditCache {
             let _ = std::fs::remove_file(&tmp);
         })
     }
-
-    // ------------------------------------------------------------------
-    // JSON interchange (kept for the bench baseline and debugging).
-    // ------------------------------------------------------------------
-
-    /// Serializes every layer as the JSON-era cache document. This is
-    /// no longer the persistence format — it exists so benchpipe can
-    /// measure binary-vs-JSON load honestly on identical content, and
-    /// as a human-readable dump. Disk slots are decoded transiently.
-    pub fn to_json_doc(&self) -> Value {
-        let mut parse: Vec<(u64, &Slot<ParsedUnit>)> =
-            self.parse.iter().map(|(k, v)| (*k, v)).collect();
-        parse.sort_by_key(|(k, _)| *k);
-        let mut export: Vec<(u64, &Slot<UnitExports>)> =
-            self.export.iter().map(|(k, v)| (*k, v)).collect();
-        export.sort_by_key(|(k, _)| *k);
-        let mut check: Vec<(&(u64, u64), &Slot<CheckedUnit>)> = self.check.iter().collect();
-        check.sort_by_key(|(k, _)| **k);
-        let mut disc: Vec<(u64, &Slot<ApiKb>)> =
-            self.discovery.iter().map(|(k, v)| (*k, v)).collect();
-        disc.sort_by_key(|(k, _)| *k);
-
-        obj([
-            ("version", CACHE_VERSION.to_json()),
-            (
-                "parse",
-                Value::Arr(
-                    parse
-                        .iter()
-                        .filter_map(|(k, slot)| {
-                            let p = slot_peek(slot, &self.raw, binfmt::decode_parsed)?;
-                            Some(obj([
-                                ("key", hex(*k)),
-                                ("parsed_ok", p.parsed_ok.to_json()),
-                                ("lines", p.lines.to_json()),
-                                ("errors", errors_to_json(&p.errors)),
-                                (
-                                    "defines",
-                                    Value::Arr(p.defines.iter().map(macro_to_json).collect()),
-                                ),
-                                ("discovery", unit_discovery_to_json(&p.discovery)),
-                            ]))
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "export",
-                Value::Arr(
-                    export
-                        .iter()
-                        .filter_map(|(k, slot)| {
-                            let e = slot_peek(slot, &self.raw, binfmt::decode_exports)?;
-                            Some(obj([
-                                ("key", hex(*k)),
-                                ("exports", unit_exports_to_json(&e)),
-                            ]))
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "check",
-                Value::Arr(
-                    check
-                        .iter()
-                        .filter_map(|((uk, kb), slot)| {
-                            let c = slot_peek(slot, &self.raw, binfmt::decode_checked)?;
-                            Some(obj([
-                                ("unit", hex(*uk)),
-                                ("kb", hex(*kb)),
-                                ("functions", c.functions.to_json()),
-                                ("findings", c.findings.to_json()),
-                                ("errors", errors_to_json(&c.errors)),
-                            ]))
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "discovery",
-                Value::Arr(
-                    disc.iter()
-                        .filter_map(|(k, slot)| {
-                            let kb = slot_peek(slot, &self.raw, binfmt::decode_kb)?;
-                            Some(obj([("tree", hex(*k)), ("kb", kb_to_json(&kb))]))
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Merges a JSON cache document into the in-memory maps, skipping
-    /// anything malformed. Returns `false` when the version tag is
-    /// missing or incompatible. The JSON-era counterpart of
-    /// [`AuditCache::load_bytes`], kept for the bench baseline.
-    pub fn load_json_doc(&mut self, v: &Value) -> bool {
-        if v.get("version").and_then(Value::as_u64) != Some(CACHE_VERSION) {
-            return false;
-        }
-        for entry in v.get("parse").and_then(Value::as_array).unwrap_or(&[]) {
-            let Some(key) = entry.get("key").and_then(unhex) else {
-                continue;
-            };
-            let Some(parsed_ok) = entry.get("parsed_ok").and_then(Value::as_bool) else {
-                continue;
-            };
-            let lines = entry.get("lines").and_then(Value::as_u64).unwrap_or(0) as usize;
-            let Some(errors) = entry.get("errors").map(errors_from_json) else {
-                continue;
-            };
-            let defines: Option<Vec<MacroDef>> = entry
-                .get("defines")
-                .and_then(Value::as_array)
-                .map(|a| a.iter().filter_map(macro_from_json).collect());
-            let Some(defines) = defines else { continue };
-            let Some(discovery) = entry.get("discovery").and_then(unit_discovery_from_json) else {
-                continue;
-            };
-            self.parse.insert(
-                key,
-                Slot::Mem(Arc::new(ParsedUnit {
-                    tu: None,
-                    parsed_ok,
-                    defines,
-                    errors,
-                    lines,
-                    discovery,
-                })),
-            );
-        }
-        for entry in v.get("export").and_then(Value::as_array).unwrap_or(&[]) {
-            let Some(key) = entry.get("key").and_then(unhex) else {
-                continue;
-            };
-            let Some(exports) = entry.get("exports").and_then(unit_exports_from_json) else {
-                continue;
-            };
-            self.export.insert(key, Slot::Mem(Arc::new(exports)));
-        }
-        for entry in v.get("check").and_then(Value::as_array).unwrap_or(&[]) {
-            let (Some(uk), Some(kb)) = (
-                entry.get("unit").and_then(unhex),
-                entry.get("kb").and_then(unhex),
-            ) else {
-                continue;
-            };
-            let functions = entry.get("functions").and_then(Value::as_u64).unwrap_or(0) as usize;
-            let findings: Option<Vec<Finding>> = entry
-                .get("findings")
-                .and_then(Value::as_array)
-                .map(|a| a.iter().map(finding_from_json).collect::<Option<_>>())
-                .unwrap_or(Some(Vec::new()));
-            let Some(findings) = findings else { continue };
-            let Some(errors) = entry.get("errors").map(errors_from_json) else {
-                continue;
-            };
-            self.check.insert(
-                (uk, kb),
-                Slot::Mem(Arc::new(CheckedUnit {
-                    findings,
-                    functions,
-                    errors,
-                })),
-            );
-        }
-        for entry in v.get("discovery").and_then(Value::as_array).unwrap_or(&[]) {
-            let Some(tree) = entry.get("tree").and_then(unhex) else {
-                continue;
-            };
-            let Some(kb) = entry.get("kb").and_then(kb_from_json) else {
-                continue;
-            };
-            self.discovery.insert(tree, Slot::Mem(Arc::new(kb)));
-        }
-        true
-    }
-}
-
-// ----------------------------------------------------------------------
-// JSON (de)serialization helpers.
-// ----------------------------------------------------------------------
-//
-// `refminer-json` stores numbers as f64, which cannot represent every
-// u64; keys are therefore written as fixed-width hex strings.
-
-fn hex(k: u64) -> Value {
-    Value::Str(format!("{k:016x}"))
-}
-
-fn unhex(v: &Value) -> Option<u64> {
-    u64::from_str_radix(v.as_str()?, 16).ok()
-}
-
-fn errors_to_json(errors: &[CachedError]) -> Value {
-    Value::Arr(
-        errors
-            .iter()
-            .map(|e| {
-                obj([
-                    ("kind", Value::Str(e.kind.name().to_string())),
-                    ("detail", e.detail.to_json()),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn errors_from_json(v: &Value) -> Vec<CachedError> {
-    v.as_array()
-        .unwrap_or(&[])
-        .iter()
-        .filter_map(|e| {
-            Some(CachedError {
-                kind: UnitErrorKind::from_name(e.get("kind")?.as_str()?)?,
-                detail: e.get("detail")?.as_str()?.to_string(),
-            })
-        })
-        .collect()
-}
-
-fn macro_to_json(m: &MacroDef) -> Value {
-    obj([
-        ("name", m.name.to_json()),
-        (
-            "params",
-            match &m.params {
-                Some(ps) => ps.to_json(),
-                None => Value::Null,
-            },
-        ),
-        ("body", m.body.to_json()),
-        ("line", m.line.to_json()),
-    ])
-}
-
-fn macro_from_json(v: &Value) -> Option<MacroDef> {
-    let params = match v.get("params")? {
-        Value::Null => None,
-        arr => Some(
-            arr.as_array()?
-                .iter()
-                .map(|p| p.as_str().map(str::to_string))
-                .collect::<Option<Vec<_>>>()?,
-        ),
-    };
-    Some(MacroDef {
-        name: v.get("name")?.as_str()?.to_string(),
-        params,
-        body: v.get("body")?.as_str()?.to_string(),
-        line: v.get("line")?.as_u64()? as u32,
-    })
-}
-
-fn finding_from_json(v: &Value) -> Option<Finding> {
-    let pattern = v.get("pattern")?.as_str()?;
-    let pattern = AntiPattern::all().into_iter().find(|p| p.id() == pattern)?;
-    let impact = match v.get("impact")?.as_str()? {
-        "Leak" => Impact::Leak,
-        "UAF" => Impact::Uaf,
-        "NPD" => Impact::Npd,
-        _ => return None,
-    };
-    Some(Finding {
-        pattern,
-        impact,
-        file: v.get("file")?.as_str()?.to_string(),
-        function: v.get("function")?.as_str()?.to_string(),
-        line: v.get("line")?.as_u64()? as u32,
-        api: v.get("api")?.as_str()?.to_string(),
-        object: match v.get("object")? {
-            Value::Null => None,
-            s => Some(s.as_str()?.to_string()),
-        },
-        message: v.get("message")?.as_str()?.to_string(),
-        feasibility: refminer_checkers::Feasibility::from_name(v.get("feasibility")?.as_str()?)?,
-        checkers: v
-            .get("checkers")?
-            .as_array()?
-            .iter()
-            .map(|c| c.as_str().map(str::to_string))
-            .collect::<Option<_>>()?,
-        // Pre-two-engine documents carry no attribution; an absent
-        // list reads as legacy (template-implied) rather than failing.
-        engines: match v.get("engines") {
-            None => Vec::new(),
-            Some(a) => a
-                .as_array()?
-                .iter()
-                .map(|e| e.as_str().and_then(refminer_checkers::EngineId::from_name))
-                .collect::<Option<_>>()?,
-        },
-    })
-}
-
-fn flow_to_json(flow: ObjectFlow) -> Value {
-    Value::Str(match flow {
-        ObjectFlow::Arg(i) => format!("arg:{i}"),
-        ObjectFlow::Returned => "ret".to_string(),
-        ObjectFlow::ArgAndReturned(i) => format!("argret:{i}"),
-    })
-}
-
-fn flow_from_json(v: &Value) -> Option<ObjectFlow> {
-    let s = v.as_str()?;
-    if s == "ret" {
-        return Some(ObjectFlow::Returned);
-    }
-    if let Some(i) = s.strip_prefix("arg:") {
-        return Some(ObjectFlow::Arg(i.parse().ok()?));
-    }
-    if let Some(i) = s.strip_prefix("argret:") {
-        return Some(ObjectFlow::ArgAndReturned(i.parse().ok()?));
-    }
-    None
-}
-
-fn api_to_json(api: &RcApi) -> Value {
-    obj([
-        ("name", api.name.to_json()),
-        (
-            "class",
-            Value::Str(
-                match api.class {
-                    RcClass::General => "general",
-                    RcClass::Specific => "specific",
-                    RcClass::Embedded => "embedded",
-                }
-                .to_string(),
-            ),
-        ),
-        (
-            "dir",
-            Value::Str(
-                match api.dir {
-                    RcDir::Inc => "inc",
-                    RcDir::Dec => "dec",
-                }
-                .to_string(),
-            ),
-        ),
-        ("flow", flow_to_json(api.flow)),
-        ("dec_names", api.dec_names.to_json()),
-        ("inc_on_error", api.inc_on_error.to_json()),
-        ("may_return_null", api.may_return_null.to_json()),
-        ("releases_resources", api.releases_resources.to_json()),
-    ])
-}
-
-fn api_from_json(v: &Value) -> Option<RcApi> {
-    Some(RcApi {
-        name: v.get("name")?.as_str()?.to_string(),
-        class: match v.get("class")?.as_str()? {
-            "general" => RcClass::General,
-            "specific" => RcClass::Specific,
-            "embedded" => RcClass::Embedded,
-            _ => return None,
-        },
-        dir: match v.get("dir")?.as_str()? {
-            "inc" => RcDir::Inc,
-            "dec" => RcDir::Dec,
-            _ => return None,
-        },
-        flow: flow_from_json(v.get("flow")?)?,
-        dec_names: v
-            .get("dec_names")?
-            .as_array()?
-            .iter()
-            .map(|d| d.as_str().map(str::to_string))
-            .collect::<Option<Vec<_>>>()?,
-        inc_on_error: v.get("inc_on_error")?.as_bool()?,
-        may_return_null: v.get("may_return_null")?.as_bool()?,
-        releases_resources: v.get("releases_resources")?.as_bool()?,
-    })
-}
-
-fn indices_to_json(v: &[usize]) -> Value {
-    Value::Arr(v.iter().map(|i| i.to_json()).collect())
-}
-
-fn indices_from_json(v: &Value) -> Option<Vec<usize>> {
-    v.as_array()?
-        .iter()
-        .map(|i| i.as_u64().map(|i| i as usize))
-        .collect()
-}
-
-fn call_site_to_json(c: &CallSite) -> Value {
-    obj([
-        ("callee", c.callee.to_json()),
-        (
-            "args",
-            Value::Arr(
-                c.args
-                    .iter()
-                    .map(|a| match a {
-                        Some(i) => i.to_json(),
-                        None => Value::Null,
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn call_site_from_json(v: &Value) -> Option<CallSite> {
-    let args: Option<Vec<Option<usize>>> = v
-        .get("args")?
-        .as_array()?
-        .iter()
-        .map(|a| match a {
-            Value::Null => Some(None),
-            n => n.as_u64().map(|i| Some(i as usize)),
-        })
-        .collect();
-    Some(CallSite {
-        callee: v.get("callee")?.as_str()?.to_string(),
-        args: args?,
-    })
-}
-
-fn unit_exports_to_json(u: &UnitExports) -> Value {
-    obj([
-        ("path", u.path.to_json()),
-        (
-            "fns",
-            Value::Arr(
-                u.fns
-                    .iter()
-                    .map(|f| {
-                        obj([
-                            ("name", f.name.to_json()),
-                            ("is_static", f.is_static.to_json()),
-                            (
-                                "calls",
-                                Value::Arr(f.calls.iter().map(call_site_to_json).collect()),
-                            ),
-                            ("stores", indices_to_json(&f.stores)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn unit_exports_from_json(v: &Value) -> Option<UnitExports> {
-    let fns: Option<Vec<FnExport>> = v
-        .get("fns")?
-        .as_array()?
-        .iter()
-        .map(|f| {
-            Some(FnExport {
-                name: f.get("name")?.as_str()?.to_string(),
-                is_static: f.get("is_static")?.as_bool()?,
-                calls: f
-                    .get("calls")?
-                    .as_array()?
-                    .iter()
-                    .map(call_site_from_json)
-                    .collect::<Option<_>>()?,
-                stores: indices_from_json(f.get("stores")?)?,
-            })
-        })
-        .collect();
-    Some(UnitExports {
-        path: v.get("path")?.as_str()?.to_string(),
-        fns: fns?,
-    })
-}
-
-fn unit_discovery_to_json(d: &UnitDiscovery) -> Value {
-    obj([
-        (
-            "structs",
-            Value::Arr(
-                d.structs
-                    .iter()
-                    .map(|s| {
-                        obj([
-                            ("tag", s.tag.to_json()),
-                            ("direct", s.direct.to_json()),
-                            ("embeds", s.embeds.to_json()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("apis", Value::Arr(d.apis.iter().map(api_to_json).collect())),
-    ])
-}
-
-fn unit_discovery_from_json(v: &Value) -> Option<UnitDiscovery> {
-    let structs: Option<Vec<StructFact>> = v
-        .get("structs")?
-        .as_array()?
-        .iter()
-        .map(|s| {
-            Some(StructFact {
-                tag: s.get("tag")?.as_str()?.to_string(),
-                direct: s.get("direct")?.as_bool()?,
-                embeds: s
-                    .get("embeds")?
-                    .as_array()?
-                    .iter()
-                    .map(|e| e.as_str().map(str::to_string))
-                    .collect::<Option<_>>()?,
-            })
-        })
-        .collect();
-    let apis: Option<Vec<RcApi>> = v
-        .get("apis")?
-        .as_array()?
-        .iter()
-        .map(api_from_json)
-        .collect();
-    Some(UnitDiscovery {
-        structs: structs?,
-        apis: apis?,
-    })
-}
-
-fn loop_to_json(sl: &SmartLoop) -> Value {
-    obj([
-        ("name", sl.name.to_json()),
-        ("iter_arg", sl.iter_arg.to_json()),
-        ("dec_name", sl.dec_name.to_json()),
-        (
-            "embedded_api",
-            match &sl.embedded_api {
-                Some(a) => a.to_json(),
-                None => Value::Null,
-            },
-        ),
-    ])
-}
-
-fn loop_from_json(v: &Value) -> Option<SmartLoop> {
-    Some(SmartLoop {
-        name: v.get("name")?.as_str()?.to_string(),
-        iter_arg: v.get("iter_arg")?.as_u64()? as usize,
-        dec_name: v.get("dec_name")?.as_str()?.to_string(),
-        embedded_api: match v.get("embedded_api")? {
-            Value::Null => None,
-            s => Some(s.as_str()?.to_string()),
-        },
-    })
-}
-
-/// Serializes a knowledge base with APIs and smartloops in sorted-name
-/// order, so equal KBs serialize (and fingerprint) identically.
-pub fn kb_to_json(kb: &ApiKb) -> Value {
-    let mut apis: Vec<&RcApi> = kb.apis().collect();
-    apis.sort_by(|a, b| a.name.cmp(&b.name));
-    let mut loops: Vec<&SmartLoop> = kb.smartloops().collect();
-    loops.sort_by(|a, b| a.name.cmp(&b.name));
-    obj([
-        (
-            "apis",
-            Value::Arr(apis.into_iter().map(api_to_json).collect()),
-        ),
-        (
-            "loops",
-            Value::Arr(loops.into_iter().map(loop_to_json).collect()),
-        ),
-    ])
-}
-
-/// Rebuilds a knowledge base from [`kb_to_json`] output. Returns `None`
-/// if any member is malformed (a partially-loaded KB would silently
-/// change findings — all or nothing).
-pub fn kb_from_json(v: &Value) -> Option<ApiKb> {
-    let mut kb = ApiKb::new();
-    for a in v.get("apis")?.as_array()? {
-        kb.insert(api_from_json(a)?);
-    }
-    for l in v.get("loops")?.as_array()? {
-        kb.insert_loop(loop_from_json(l)?);
-    }
-    Some(kb)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use refminer_checkers::{AntiPattern, Impact};
+    use refminer_progdb::{CallSite, FnExport};
+    use refminer_rcapi::{ObjectFlow, RcApi, RcClass, RcDir, SmartLoop};
 
     fn test_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -1482,52 +893,55 @@ mod tests {
     }
 
     #[test]
-    fn kb_round_trips_through_json() {
-        let kb = ApiKb::builtin();
-        let back = kb_from_json(&kb_to_json(&kb)).expect("round trip");
-        assert_eq!(kb_fingerprint(&kb), kb_fingerprint(&back));
-        assert_eq!(back.len(), kb.len());
-        assert!(back.get("pm_runtime_get_sync").unwrap().inc_on_error);
-        assert_eq!(
-            back.smartloop("for_each_child_of_node").unwrap().iter_arg,
-            1
-        );
-    }
-
-    #[test]
-    fn finding_round_trips_through_json() {
-        let f = Finding {
-            pattern: AntiPattern::P2,
-            impact: Impact::Npd,
-            file: "drivers/a/a.c".into(),
-            function: "probe".into(),
-            line: 12,
-            api: "mdesc_grab".into(),
-            object: None,
-            message: "deref without NULL check".into(),
-            feasibility: refminer_checkers::Feasibility::Proven,
-            checkers: vec!["ReturnNullChecker".into()],
-            engines: vec![refminer_checkers::EngineId::Template],
-        };
-        assert_eq!(finding_from_json(&f.to_json()), Some(f));
-    }
-
-    #[test]
-    fn macro_round_trips_through_json() {
-        let m = MacroDef {
-            name: "for_each_w".into(),
-            params: Some(vec!["w".into()]),
-            body: "for (w = w_first(); w; w = w_next(w))".into(),
-            line: 3,
-        };
-        assert_eq!(macro_from_json(&macro_to_json(&m)), Some(m));
-        let obj_like = MacroDef {
-            name: "N".into(),
-            params: None,
-            body: "4".into(),
-            line: 1,
-        };
-        assert_eq!(macro_from_json(&macro_to_json(&obj_like)), Some(obj_like));
+    fn kb_fingerprint_notices_every_field() {
+        let base = ApiKb::builtin();
+        let base_fp = kb_fingerprint(&base);
+        let api = base.get("pm_runtime_get_sync").unwrap().clone();
+        let edits: [(&str, fn(&mut RcApi)); 7] = [
+            ("class", |a| {
+                a.class = match a.class {
+                    RcClass::Embedded => RcClass::General,
+                    _ => RcClass::Embedded,
+                }
+            }),
+            ("dir", |a| a.dir = RcDir::Dec),
+            ("flow", |a| a.flow = ObjectFlow::ArgAndReturned(3)),
+            ("dec_names", |a| a.dec_names.push("other_put".into())),
+            ("inc_on_error", |a| a.inc_on_error = !a.inc_on_error),
+            ("may_return_null", |a| {
+                a.may_return_null = !a.may_return_null
+            }),
+            ("releases_resources", |a| {
+                a.releases_resources = !a.releases_resources
+            }),
+        ];
+        for (field, edit) in edits {
+            let mut changed = api.clone();
+            edit(&mut changed);
+            assert_ne!(changed, api, "{field} edit is a no-op");
+            let mut kb = base.clone();
+            kb.insert(changed);
+            assert_ne!(kb_fingerprint(&kb), base_fp, "RcApi::{field} ignored");
+        }
+        let sl = base.smartloop("for_each_child_of_node").unwrap().clone();
+        let loop_edits: [(&str, fn(&mut SmartLoop)); 3] = [
+            ("iter_arg", |l| l.iter_arg += 1),
+            ("dec_name", |l| l.dec_name.push('x')),
+            ("embedded_api", |l| {
+                l.embedded_api = match l.embedded_api {
+                    Some(_) => None,
+                    None => Some("of_find_node".into()),
+                }
+            }),
+        ];
+        for (field, edit) in loop_edits {
+            let mut changed = sl.clone();
+            edit(&mut changed);
+            assert_ne!(changed, sl, "{field} edit is a no-op");
+            let mut kb = base.clone();
+            kb.insert_loop(changed);
+            assert_ne!(kb_fingerprint(&kb), base_fp, "SmartLoop::{field} ignored");
+        }
     }
 
     #[test]
@@ -1640,29 +1054,6 @@ mod tests {
         lazy.check_get(3, 4);
         lazy.discovery_get(5);
         assert_eq!(lazy.to_bytes(), bytes, "decoded resave re-encodes equal");
-    }
-
-    #[test]
-    fn json_doc_carries_the_same_content_as_the_binary() {
-        let mut cache = AuditCache::new();
-        let mut p = parsed(17);
-        p.discovery
-            .apis
-            .push(RcApi::dec("f_put", RcClass::Specific, ObjectFlow::Arg(0)));
-        cache.parse_put(1, p);
-        cache.export_put(
-            2,
-            UnitExports {
-                path: "a.c".into(),
-                fns: Vec::new(),
-            },
-        );
-        cache.discovery_put(3, ApiKb::builtin());
-
-        let doc = cache.to_json_doc();
-        let mut back = AuditCache::new();
-        assert!(back.load_json_doc(&doc));
-        assert_eq!(back.to_bytes(), cache.to_bytes());
     }
 
     #[test]
@@ -1806,10 +1197,6 @@ mod tests {
             assert!(back.load_bytes(bytes.clone()), "round {round} must load");
             assert_eq!(back.len(), cache.len(), "round {round} entry counts");
             assert_eq!(back.to_bytes(), bytes, "round {round} byte stability");
-            // And through the JSON doc as well.
-            let mut via_json = AuditCache::new();
-            assert!(via_json.load_json_doc(&cache.to_json_doc()));
-            assert_eq!(via_json.to_bytes(), bytes, "round {round} via JSON");
         }
     }
 

@@ -41,12 +41,12 @@ fn bench_smoke_script_passes() {
     assert!(v.get("speedup_warm").is_some());
     assert!(v.get("speedup_parallel").is_some());
     assert!(v.get("runs").is_some());
-    // Schema 9: the scaling curve, the binary-vs-JSON load comparison,
+    // Schema 10: the scaling curve, the warm cache load rate,
     // the per-engine phase-2 time split, the fix-history diff replay,
     // the fixcheck replay, the release-ladder history replay, peak RSS,
     // and explicit gate states. A skipped gate must be visible, not a
     // silent pass.
-    assert_eq!(v.get("schema").and_then(|s| s.as_f64()), Some(9.0));
+    assert_eq!(v.get("schema").and_then(|s| s.as_f64()), Some(10.0));
     let cores = v.get("cores").and_then(|c| c.as_u64()).expect("cores");
     let jobs = v.get("jobs").and_then(|c| c.as_u64()).expect("jobs");
     let gate = v
@@ -90,27 +90,37 @@ fn bench_smoke_script_passes() {
         assert!(rung.get("warm_secs").and_then(|s| s.as_f64()).is_some());
     }
 
-    // The binary-vs-JSON cache load comparison on identical content.
-    // The >=3x gate itself is only enforced on kernel-scale trees, but
-    // the measurement is always recorded (with its gate state).
-    for key in [
-        "warm_load_binary_secs",
-        "warm_load_json_secs",
-        "warm_load_speedup",
-        "cache_binary_bytes",
-        "cache_json_bytes",
-    ] {
-        assert!(
-            v.get(key).and_then(|s| s.as_f64()).is_some(),
-            "missing {key}"
-        );
-    }
+    // The warm cache load rate. The >=170 MiB/s gate itself is only
+    // enforced on trees of >=1000 files, but the measurement is always
+    // recorded (with its gate state).
+    let num = |key: &str| {
+        v.get(key)
+            .and_then(|s| s.as_f64())
+            .unwrap_or_else(|| panic!("missing {key}"))
+    };
+    let bytes = num("cache_binary_bytes");
+    let secs = num("warm_load_binary_secs");
+    let rate = num("warm_load_mib_s");
+    assert!(bytes > 0.0 && secs > 0.0 && rate > 0.0);
+    let expected = bytes / (1u64 << 20) as f64 / secs;
+    assert!(
+        (rate - expected).abs() <= 1e-6 * expected,
+        "warm_load_mib_s {rate} != cache_binary_bytes / 2^20 / warm_load_binary_secs {expected}"
+    );
     let load_gate = v
         .get("warm_load_gate")
         .and_then(|g| g.as_str())
         .expect("warm_load_gate present");
     let files = v.get("files").and_then(|f| f.as_u64()).expect("files");
     assert_eq!(load_gate == "enforced", files >= 1000);
+    // The JSON comparand is gone with the JSON cache codec.
+    for key in [
+        "cache_json_bytes",
+        "warm_load_json_secs",
+        "warm_load_speedup",
+    ] {
+        assert!(v.get(key).is_none(), "retired key {key} reported");
+    }
     // The fix-history diff replay: every commit recorded with its diff
     // latency and sweep share, parse-miss exactness always enforced,
     // and the warm-latency gate visibly enforced or skipped.

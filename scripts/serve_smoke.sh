@@ -5,8 +5,12 @@
 # verify the recovered daemon serves query output byte-identical to a
 # one-shot `refminer --json` run.
 #
+# The daemon is launched directly (not through a shell function), so
+# `$!` is its own pid and the kill -9 round hits the real process. The
+# run fails if any process naming its scratch directory outlives it.
+#
 # Env:
-#   REFMINER_BIN  prebuilt binary; default `cargo run`
+#   REFMINER_BIN  prebuilt binary; default: `cargo build` it
 set -u
 
 here="$(cd "$(dirname "$0")/.." && pwd)"
@@ -21,17 +25,21 @@ cleanup() {
 }
 trap cleanup EXIT
 
-refminer() {
-    if [ -n "${REFMINER_BIN:-}" ]; then
-        "$REFMINER_BIN" "$@"
-    else
-        cargo run --quiet --manifest-path "$here/Cargo.toml" -p refminer --bin refminer -- "$@"
-    fi
-}
-
 fail() {
     echo "serve_smoke.sh: FAIL ($1)" >&2
     exit 1
+}
+
+# Resolve the binary once, so every launch below is the real process.
+bin="${REFMINER_BIN:-}"
+if [ -z "$bin" ]; then
+    bin="$(cargo build --quiet --manifest-path "$here/Cargo.toml" -p refminer --bin refminer \
+        --message-format=json-render-diagnostics \
+        | sed -n 's/.*"executable":"\([^"]*\)".*/\1/p' | tail -n 1)"
+    [ -x "$bin" ] || fail "cannot build refminer"
+fi
+refminer() {
+    "$bin" "$@"
 }
 
 # A tiny tree with two known findings.
@@ -62,7 +70,7 @@ refminer --json "$tree" > "$expected"
 start_daemon() {
     log="$1"
     faults="$2"
-    REFMINER_FAULTS="$faults" refminer serve --listen 127.0.0.1:0 \
+    REFMINER_FAULTS="$faults" "$bin" serve --listen 127.0.0.1:0 \
         --cache-dir "$cache" "$tree" > "$log" 2>"$log.err" &
     daemon_pid=$!
     addr=""
@@ -98,7 +106,7 @@ refminer rpc "$addr" audit > /dev/null || fail "audit rpc"
 
 # Kill -9 mid-flight: enqueue an audit (its save will be in the
 # daemon's near future) and kill without waiting for it.
-refminer rpc "$addr" audit > /dev/null &
+refminer rpc "$addr" audit > /dev/null 2>&1 &
 rpc_bg=$!
 kill -9 "$daemon_pid"
 wait "$daemon_pid" 2>/dev/null
@@ -131,5 +139,20 @@ if kill -0 "$daemon_pid" 2>/dev/null; then
     fail "daemon did not exit after shutdown"
 fi
 daemon_pid=""
+
+# Nothing this run started may outlive it: every daemon names $outdir
+# on its command line (its tree and cache dir live there).
+left=""
+for proc in /proc/[0-9]*; do
+    [ "${proc#/proc/}" = "$$" ] && continue
+    cmd="$(tr '\0' ' ' 2>/dev/null < "$proc/cmdline")" || continue
+    case "$cmd" in
+        *"$outdir"*) left="$left ${proc#/proc/}" ;;
+    esac
+done
+if [ -n "$left" ]; then
+    kill -9 $left 2>/dev/null
+    fail "processes left running:$left"
+fi
 
 echo "serve_smoke.sh: PASS"
