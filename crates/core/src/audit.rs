@@ -1,18 +1,21 @@
 //! The end-to-end two-phase whole-program audit.
 //!
-//! **Phase 1** fans out the parse per unit. Parsing also captures each
-//! unit's discovery facts, so the knowledge-base merge happens right at
-//! the parse barrier — before any export exists.
+//! **Phase 1** fans out the parse per unit, then the export of each
+//! freshly parsed unit's function-effect digest
+//! ([`refminer_checkers::UnitExports`]). Parsing also captures each
+//! unit's discovery facts; digest and facts both ride the unit's
+//! parse-layer cache entry, so only parse misses export. The phase ends
+//! with the knowledge-base merge (`merge.kb`).
 //!
-//! **Phase 2** exports each unit's function-effect digest
-//! ([`refminer_checkers::UnitExports`]), merges every digest into the
-//! [`ProgramDb`] — the function-summary database every checker
+//! **Phase 2** merges every digest into the [`ProgramDb`]
+//! (`merge.progdb`) — the function-summary database every checker
 //! resolves helper calls through, under linkage rules (`static`
 //! helpers stay unit-local; external definitions resolve tree-wide) —
 //! and then checks each unit against it, so an `of_node_put` wrapper
-//! defined in `a.c` pairs an acquisition in `b.c`. The three stages
-//! run as a barrier pipeline: export fan-out, `merge.progdb`, check
-//! fan-out.
+//! defined in `a.c` pairs an acquisition in `b.c`.
+//!
+//! Every stage waits out the previous one: parse fan-out, export
+//! fan-out, `merge.kb`, `merge.progdb`, check fan-out.
 //!
 //! Every translation unit runs inside a *fault boundary*: resource caps
 //! (file bytes, token count, recursion depth, graph nodes) bound what a
@@ -22,7 +25,7 @@
 //! degrade its own results; it cannot take down the run or perturb the
 //! findings of its healthy siblings.
 //!
-//! Both phases memoize through the four-layer content-hash cache (see
+//! Both phases memoize through the three-layer content-hash cache (see
 //! [`crate::cache`]) and fan out across worker threads (see
 //! [`crate::parallel`]). Both are exact optimizations: the report —
 //! findings, counters, diagnostics — is byte-identical at any `jobs`
@@ -31,6 +34,7 @@
 //! the end. Phase wall times are reported out of band and never enter
 //! any cached or serialized result.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
@@ -49,9 +53,8 @@ use refminer_rcapi::{discover_unit, merge_discoveries, ApiKb, DiscoverConfig, Un
 use refminer_trace::TraceHandle;
 
 use crate::cache::{
-    check_config_fingerprint, content_hash, discovery_config_fingerprint,
-    export_config_fingerprint, fnv1a, kb_fingerprint, mix, parse_config_fingerprint, AuditCache,
-    CacheStats, CachedError, CheckedUnit, ParsedUnit,
+    check_config_fingerprint, content_hash, discovery_config_fingerprint, fnv1a, kb_fingerprint,
+    mix, parse_config_fingerprint, AuditCache, CacheStats, CachedError, CheckedUnit, ParsedUnit,
 };
 use crate::cancel::{CancelToken, Cancelled};
 use crate::parallel::run_indexed_traced;
@@ -297,11 +300,12 @@ pub struct AuditReport {
     /// Cache hit/miss counters for this run (all zeros for the plain
     /// [`audit`] entry point, which starts from an empty cache).
     pub cache: CacheStats,
-    /// Wall-clock seconds of phase 1 (parse + export fan-out, plus the
-    /// barrier merge into KB and program database). Timing only — it
-    /// never influences findings, keys or any serialized result.
+    /// Wall-clock seconds of phase 1 (parse and export fan-outs, then
+    /// the knowledge-base merge `merge.kb`). Timing only — it never
+    /// influences findings, keys or any serialized result.
     pub phase1_secs: f64,
-    /// Wall-clock seconds of phase 2 (the graph + check fan-out).
+    /// Wall-clock seconds of phase 2 (the program-database merge
+    /// `merge.progdb`, then the check fan-out).
     pub phase2_secs: f64,
 }
 
@@ -412,7 +416,8 @@ impl UnitState {
 /// The parse stage for one unit: byte-cap check, `#define` scan, the
 /// limited parse, then the unit's discovery facts — all inside the
 /// unit's fault boundary. Discovery rides the parse layer so the
-/// knowledge base is ready before any export runs.
+/// knowledge base is ready before any graph is built. The entry's
+/// exports are left empty for [`export_one`] to fill.
 fn parse_unit(
     unit: &SourceUnit,
     limits: &AuditLimits,
@@ -421,9 +426,6 @@ fn parse_unit(
 ) -> ParsedUnit {
     if unit.text.len() > limits.max_file_bytes {
         return ParsedUnit {
-            tu: None,
-            parsed_ok: false,
-            defines: Vec::new(),
             errors: vec![CachedError {
                 kind: UnitErrorKind::Oversize,
                 detail: format!(
@@ -433,8 +435,7 @@ fn parse_unit(
                 ),
             }],
             // Skipped outright: contributes no lines to the totals.
-            lines: 0,
-            discovery: UnitDiscovery::default(),
+            ..ParsedUnit::default()
         };
     }
     let lines = unit.text.lines().count();
@@ -472,27 +473,41 @@ fn parse_unit(
                 errors,
                 lines,
                 discovery,
+                exports: UnitExports::default(),
             }
         }
         Err(msg) => ParsedUnit {
-            tu: None,
-            parsed_ok: false,
-            defines: Vec::new(),
             errors: vec![CachedError {
                 kind: UnitErrorKind::LexPanic,
                 detail: format!("parse panicked: {msg}"),
             }],
             lines,
-            discovery: UnitDiscovery::default(),
+            ..ParsedUnit::default()
         },
     }
 }
 
-/// The export stage for one unit: build graphs and read off the
-/// function-effect digest, all inside the unit's fault boundary. Units
-/// that did not parse — and units whose extraction faults — contribute
-/// an empty digest under their own path, so unit indexing in the
-/// merged database never shifts.
+/// The unit's AST: the retained one, or — when the entry came from disk
+/// or ASTs are dropped — a fresh parse inside the fault boundary.
+/// Parsing is deterministic, so the rehydrated AST is the one the
+/// entry describes.
+fn unit_ast<'a>(
+    unit: &SourceUnit,
+    parsed: &'a ParsedUnit,
+    parse_limits: &ParseLimits,
+) -> Result<Cow<'a, TranslationUnit>, String> {
+    match &parsed.tu {
+        Some(tu) => Ok(Cow::Borrowed(tu)),
+        None => fault_boundary(|| parse_str_limited(&unit.path, &unit.text, parse_limits).unit)
+            .map(Cow::Owned),
+    }
+}
+
+/// The export stage for one freshly parsed unit: build graphs and read
+/// off the function-effect digest, all inside the unit's fault
+/// boundary. Units that did not parse — and units whose extraction
+/// faults — contribute an empty digest under their own path, so unit
+/// indexing in the merged database never shifts.
 fn export_one(
     unit: &SourceUnit,
     parsed: &ParsedUnit,
@@ -507,23 +522,13 @@ fn export_one(
     if !parsed.parsed_ok {
         return empty();
     }
-    let rehydrated;
-    let tu: &TranslationUnit = match parsed.tu.as_ref() {
-        Some(tu) => tu,
-        None => {
-            match fault_boundary(|| parse_str_limited(&unit.path, &unit.text, parse_limits).unit) {
-                Ok(tu) => {
-                    rehydrated = tu;
-                    &rehydrated
-                }
-                Err(_) => return empty(),
-            }
-        }
+    let Ok(tu) = unit_ast(unit, parsed, parse_limits) else {
+        return empty();
     };
     let start = Instant::now();
     let exported = fault_boundary(|| {
         let (graphs, _capped, feas) =
-            FunctionGraph::build_all_limited_timed(tu, limits.max_graph_nodes);
+            FunctionGraph::build_all_limited_timed(&tu, limits.max_graph_nodes);
         let globals: Vec<String> = tu.globals().map(|g| g.name.clone()).collect();
         (UnitExports::extract(&unit.path, &graphs, &globals), feas)
     });
@@ -538,9 +543,7 @@ fn export_one(
 
 /// The phase-2 check stage for one unit: graphs + the nine checkers
 /// against the merged program database, inside the unit's fault
-/// boundary. When the parse-layer entry came from disk (no retained
-/// AST), the unit is re-parsed here first — parsing is deterministic,
-/// so the rehydrated AST is the one the entry describes.
+/// boundary.
 #[allow(clippy::too_many_arguments)]
 fn check_one(
     unit: &SourceUnit,
@@ -553,28 +556,19 @@ fn check_one(
     engine_set: EngineSet,
     trace: &TraceHandle,
 ) -> CheckedUnit {
-    let rehydrated;
-    let tu: &TranslationUnit = match parsed.tu.as_ref() {
-        Some(tu) => tu,
-        None => {
-            match fault_boundary(|| parse_str_limited(&unit.path, &unit.text, parse_limits).unit) {
-                Ok(tu) => {
-                    rehydrated = tu;
-                    &rehydrated
-                }
-                Err(msg) => {
-                    return CheckedUnit {
-                        findings: Vec::new(),
-                        functions: 0,
-                        errors: vec![CachedError {
-                            kind: UnitErrorKind::CheckPanic,
-                            detail: format!("check panicked: {msg}"),
-                        }],
-                    }
-                }
-            }
-        }
+    let panicked = |msg: String| CheckedUnit {
+        findings: Vec::new(),
+        functions: 0,
+        errors: vec![CachedError {
+            kind: UnitErrorKind::CheckPanic,
+            detail: format!("check panicked: {msg}"),
+        }],
     };
+    let tu = match unit_ast(unit, parsed, parse_limits) {
+        Ok(tu) => tu,
+        Err(msg) => return panicked(msg),
+    };
+    let tu: &TranslationUnit = &tu;
     let start = Instant::now();
     let checked = fault_boundary(|| {
         let (graphs, capped, feas) =
@@ -631,14 +625,7 @@ fn check_one(
                 errors,
             }
         }
-        Err(msg) => CheckedUnit {
-            findings: Vec::new(),
-            functions: 0,
-            errors: vec![CachedError {
-                kind: UnitErrorKind::CheckPanic,
-                detail: format!("check panicked: {msg}"),
-            }],
-        },
+        Err(msg) => panicked(msg),
     }
 }
 
@@ -812,7 +799,8 @@ pub fn audit_cancellable(
     }
 
     // ------------------------------------------------------------------
-    // Phase 1: per-unit parse fan-out, then the knowledge-base merge.
+    // Phase 1: per-unit parse fan-out, export fan-out over the parse
+    // misses, then the knowledge-base merge.
     // ------------------------------------------------------------------
     let phase1_start = std::time::Instant::now();
 
@@ -832,25 +820,44 @@ pub fn audit_cancellable(
     let retain_asts = config.retain_asts;
     let parsed_new = run_indexed_traced(&parse_todo, config.jobs, trace, "parse", |_, &i| {
         if cancel.is_cancelled() {
-            return cancelled_parse_placeholder();
+            // A placeholder: the check below bails before any is cached.
+            return ParsedUnit::default();
         }
         let _unit_span = trace.unit_span("parse.unit", &units[i].path);
         parse_unit(&units[i], limits, &parse_limits, retain_asts)
     });
+    cancel.check()?;
+    drop(parse_span);
+
+    // Export: each freshly parsed unit's function-effect digest. It
+    // depends on the unit's text and the graph cap alone, so it rides
+    // the parse entry and a parse hit is an export hit too.
+    let export_span = trace.span("export");
+    let exported_new = run_indexed_traced(&parsed_new, config.jobs, trace, "export", |k, p| {
+        let unit = &units[parse_todo[k]];
+        if cancel.is_cancelled() {
+            return UnitExports::default();
+        }
+        let _unit_span = trace.unit_span("export.unit", &unit.path);
+        export_one(unit, p, limits, &parse_limits, trace)
+    });
     // Bail *before* the put loop: a tripped token means some results
     // are placeholders, and none of them may enter the cache.
     cancel.check()?;
-    for (&i, p) in parse_todo.iter().zip(parsed_new) {
+    for ((&i, mut p), exports) in parse_todo.iter().zip(parsed_new).zip(exported_new) {
+        p.exports = exports;
         parsed[i] = Some(cache.parse_put(unit_keys[i], p));
     }
-    drop(parse_span);
+    drop(export_span);
+    let parsed: Vec<Arc<ParsedUnit>> = parsed
+        .into_iter()
+        .map(|p| p.expect("every unit is a parse hit or was just parsed"))
+        .collect();
 
     // Barrier: merge per-unit discovery facts into the knowledge base.
-    // Discovery rides the parse layer, so the merged KB exists before
-    // any export runs. The merge folds cached digests — no AST is
-    // touched — and runs in its own fault boundary: if a degraded unit
-    // trips it, fall back to the builtin KB rather than losing the
-    // audit.
+    // The merge folds cached digests — no AST is touched — and runs in
+    // its own fault boundary: if a degraded unit trips it, fall back to
+    // the builtin KB rather than losing the audit.
     cancel.check()?;
     let merge_kb_span = trace.span("merge.kb");
     let kb: Arc<ApiKb> = if !config.discover_apis {
@@ -858,14 +865,8 @@ pub fn audit_cancellable(
     } else if let Some(kb) = cache.discovery_get(tree_fp) {
         kb
     } else {
-        let discs: Vec<&UnitDiscovery> = parsed
-            .iter()
-            .map(|p| &p.as_ref().unwrap().discovery)
-            .collect();
-        let defines: Vec<MacroDef> = parsed
-            .iter()
-            .flat_map(|p| p.as_ref().unwrap().defines.iter().cloned())
-            .collect();
+        let discs: Vec<&UnitDiscovery> = parsed.iter().map(|p| &p.discovery).collect();
+        let defines: Vec<MacroDef> = parsed.iter().flat_map(|p| p.defines.clone()).collect();
         let nesting_threshold = config.nesting_threshold;
         let discovered = fault_boundary(|| {
             let d = merge_discoveries(
@@ -883,8 +884,7 @@ pub fn audit_cancellable(
     let phase1_secs = phase1_start.elapsed().as_secs_f64();
 
     // ------------------------------------------------------------------
-    // Phase 2: export fan-out, program-database merge, check fan-out —
-    // each stage waiting out the previous one.
+    // Phase 2: program-database merge, then the check fan-out.
     // ------------------------------------------------------------------
     // Check keys fold the KB fingerprint — a changed KB (say, a newly
     // discovered API) re-checks everything, as any unit might call it —
@@ -896,22 +896,18 @@ pub fn audit_cancellable(
     let subsystem = config.subsystem.as_deref().map(|s| s.trim_end_matches('/'));
     let phase2_start = Instant::now();
 
-    // Probe the export layer, keyed by `(unit key, export config)` so
-    // editing one file re-exports exactly that file.
-    let export_cfg = export_config_fingerprint(config);
-    let mut exported: Vec<Option<Arc<UnitExports>>> = (0..n).map(|_| None).collect();
-    let mut export_todo: Vec<usize> = Vec::new();
-    for i in 0..n {
-        match cache.export_get(mix(unit_keys[i], export_cfg)) {
-            Some(e) => exported[i] = Some(e),
-            None => export_todo.push(i),
-        }
-    }
+    // Barrier: merge per-unit exports into the program database, in
+    // unit index order. Checkers resolve helper effects through it
+    // under linkage rules.
+    let merge_db_span = trace.span("merge.progdb");
+    let export_refs: Vec<&UnitExports> = parsed.iter().map(|p| &p.exports).collect();
+    let program = ProgramDb::build(&export_refs, &kb, config.whole_program);
+    drop(merge_db_span);
 
     // Units eligible for checking: parsed, inside the subsystem filter.
     let mut check_units: Vec<usize> = Vec::new();
     for i in 0..n {
-        if !parsed[i].as_ref().unwrap().parsed_ok {
+        if !parsed[i].parsed_ok {
             continue;
         }
         if let Some(prefix) = subsystem {
@@ -924,40 +920,6 @@ pub fn audit_cancellable(
     }
 
     let only_patterns = config.only_patterns.as_deref();
-    let export_span = trace.span("export");
-    let exported_new = run_indexed_traced(&export_todo, config.jobs, trace, "export", |_, &i| {
-        if cancel.is_cancelled() {
-            return UnitExports {
-                path: units[i].path.clone(),
-                fns: Vec::new(),
-            };
-        }
-        let _unit_span = trace.unit_span("export.unit", &units[i].path);
-        export_one(
-            &units[i],
-            parsed[i].as_ref().unwrap(),
-            limits,
-            &parse_limits,
-            trace,
-        )
-    });
-    cancel.check()?;
-    for (&i, e) in export_todo.iter().zip(exported_new) {
-        exported[i] = Some(cache.export_put(mix(unit_keys[i], export_cfg), e));
-    }
-    drop(export_span);
-
-    // Barrier: merge per-unit exports into the program database, in
-    // unit index order. Checkers resolve helper effects through it
-    // under linkage rules.
-    let merge_db_span = trace.span("merge.progdb");
-    let export_refs: Vec<&UnitExports> = exported
-        .iter()
-        .map(|e| e.as_ref().unwrap().as_ref())
-        .collect();
-    let program = ProgramDb::build(&export_refs, &kb, config.whole_program);
-    drop(merge_db_span);
-
     let check_span = trace.span("check");
     let mut checked: Vec<Option<Arc<CheckedUnit>>> = (0..n).map(|_| None).collect();
     let mut check_keys: HashSet<(u64, u64)> = HashSet::new();
@@ -978,7 +940,7 @@ pub fn audit_cancellable(
         let _unit_span = trace.unit_span("check.unit", &units[i].path);
         check_one(
             &units[i],
-            parsed[i].as_ref().unwrap(),
+            &parsed[i],
             &kb,
             &program,
             limits,
@@ -1009,7 +971,7 @@ pub fn audit_cancellable(
         diagnostics.units.push(d);
     }
     for i in 0..n {
-        let p = parsed[i].as_ref().unwrap();
+        let p = &parsed[i];
         lines += p.lines;
         let mut st = UnitState {
             path: units[i].path.clone(),
@@ -1065,8 +1027,6 @@ pub fn audit_cancellable(
         for (name, value) in [
             ("cache.parse.hit", s.parse_hits),
             ("cache.parse.miss", s.parse_misses),
-            ("cache.export.hit", s.export_hits),
-            ("cache.export.miss", s.export_misses),
             ("cache.check.hit", s.check_hits),
             ("cache.check.miss", s.check_misses),
             ("cache.discovery.hit", s.discovery_hits),
@@ -1077,10 +1037,8 @@ pub fn audit_cancellable(
         // Stale entries: leftovers from earlier trees/configs that no
         // key produced this run could ever address.
         let parse_keys: HashSet<u64> = unit_keys.iter().copied().collect();
-        let export_keys: HashSet<u64> = unit_keys.iter().map(|&k| mix(k, export_cfg)).collect();
-        let stale = cache.stale_counts(&parse_keys, &export_keys, &check_keys, tree_fp);
+        let stale = cache.stale_counts(&parse_keys, &check_keys, tree_fp);
         trace.add("cache.parse.stale", stale.parse as u64);
-        trace.add("cache.export.stale", stale.export as u64);
         trace.add("cache.check.stale", stale.check as u64);
         trace.add("cache.discovery.stale", stale.discovery as u64);
         // Limit trips, keyed by the diagnostic taxonomy.
@@ -1100,20 +1058,6 @@ pub fn audit_cancellable(
         phase1_secs,
         phase2_secs,
     })
-}
-
-/// The cheap stand-in a parse worker returns after observing a tripped
-/// token mid-fan-out. Never cached, never reported — the pipeline bails
-/// at the next boundary before either could happen.
-fn cancelled_parse_placeholder() -> ParsedUnit {
-    ParsedUnit {
-        tu: None,
-        parsed_ok: false,
-        defines: Vec::new(),
-        errors: Vec::new(),
-        lines: 0,
-        discovery: UnitDiscovery::default(),
-    }
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 //!     -h, --help     print this help
 //! ```
 //!
-//! The report (schema 10) records, against one tree:
+//! The report (schema 11) records, against one tree:
 //!
 //! 1. `scaling` — a cold/warm wall-time curve over the worker-count
 //!    ladder {1, 2, 4, `--jobs`} clamped to the available parallelism.
@@ -381,7 +381,6 @@ fn main() -> ExitCode {
     let speedup_parallel = cold_seq.secs / cold_ref.secs.max(1e-9);
     let speedup_warm = cold_ref.secs / warm.secs.max(1e-9);
     let warm_hit_rate = warm.report.cache.hit_rate();
-    let summary_hit_rate = warm.report.cache.export_hit_rate();
 
     // Gates are enforced only where they have room to mean something;
     // everywhere else the report (and the `--check` output) says SKIP
@@ -628,12 +627,11 @@ fn main() -> ExitCode {
     );
 
     let mut report_fields = vec![
-        // Schema 10: the JSON cache codec is gone, and with it the
-        // binary-vs-JSON load comparison (`cache_json_bytes`,
-        // `warm_load_json_secs`, `warm_load_speedup`); the warm-load
-        // gate is now the absolute rate `warm_load_mib_s`. Every other
-        // schema-9 key is unchanged.
-        ("schema", 10.to_json()),
+        // Schema 11: the export cache layer is gone, and with it the
+        // summary-cache hit rate and the export hit/miss counters of
+        // each run's `cache` object. Every other schema-10 key is
+        // unchanged.
+        ("schema", 11.to_json()),
         ("big", opts.big.to_json()),
         ("files", files.to_json()),
         ("lines", cold_seq.report.lines.to_json()),
@@ -646,7 +644,6 @@ fn main() -> ExitCode {
         ("parallel_gate", parallel_gate.to_json()),
         ("speedup_warm", speedup_warm.to_json()),
         ("warm_hit_rate", warm_hit_rate.to_json()),
-        ("summary_hit_rate", summary_hit_rate.to_json()),
         ("cold_phase1_secs", cold_ref.report.phase1_secs.to_json()),
         ("cold_phase2_secs", cold_ref.report.phase2_secs.to_json()),
         (
@@ -731,11 +728,8 @@ fn main() -> ExitCode {
         incremental.secs,
     );
     eprintln!(
-        "benchpipe: cold phases {:.3}s parse + {:.3}s export+check | \
-         summary cache {:.0}% hits when warm",
-        cold_ref.report.phase1_secs,
-        cold_ref.report.phase2_secs,
-        summary_hit_rate * 100.0,
+        "benchpipe: cold phases {:.3}s parse+export+kb + {:.3}s progdb+check",
+        cold_ref.report.phase1_secs, cold_ref.report.phase2_secs,
     );
     eprintln!(
         "benchpipe: warm cache load {:.4}s ({} KB): {warm_load_mib_s:.0} MiB/s",

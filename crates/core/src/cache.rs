@@ -7,19 +7,17 @@
 //! the same findings — so results are memoizable by content hash alone;
 //! no timestamps, no filesystem metadata.
 //!
-//! Four layers, because the stages have different invalidation scopes:
+//! Three layers, because the stages have different invalidation scopes:
 //!
-//! - **Parse layer** — keyed by `(content hash, parse limits, seed-KB
-//!   fingerprint)`. Holds the unit's macro defines, line count,
-//!   parse-stage diagnostics, per-unit discovery facts
-//!   ([`UnitDiscovery`]), and (in memory) the parsed
-//!   [`TranslationUnit`] itself. Discovery lives here — not in the
-//!   export layer — so the cross-unit KB merge is available the moment
-//!   parsing ends, before any graphs are built.
-//! - **Export layer** — keyed by `(unit key, export config)`. Holds the
-//!   unit's function-effect exports ([`UnitExports`]), which are
-//!   whole-tree-independent, so editing one file re-exports exactly
-//!   that file.
+//! - **Parse layer** — keyed by `(path, content hash, parse config)`,
+//!   where the config folds the parse limits, the graph cap and the
+//!   seed-KB fingerprint. Holds everything that depends on the unit's
+//!   own text alone: macro defines, line count, parse-stage
+//!   diagnostics, per-unit discovery facts ([`UnitDiscovery`]), the
+//!   unit's function-effect exports ([`UnitExports`]), and (in memory)
+//!   the parsed [`TranslationUnit`] itself. Editing one file re-parses
+//!   and re-exports exactly that file, and both the KB merge and the
+//!   program-database merge read straight off these entries.
 //! - **Discovery layer** — keyed by a *tree fingerprint* folding every
 //!   unit's key, so touching any file re-runs the cross-unit discovery
 //!   *merge* (cheap — it folds cached per-unit facts, no ASTs). Holds
@@ -41,7 +39,7 @@
 //!
 //! ```text
 //! magic "RFMCACHE" · version u64 · checksum u64   (24-byte header)
-//! body: 4 sections (parse, export, check, discovery), each
+//! body: 3 sections (parse, check, discovery), each
 //!       count u64, then per entry: key u64 [+ kb u64 for check],
 //!       payload-length u64, payload bytes (see crate::binfmt)
 //! ```
@@ -79,7 +77,7 @@ use refminer_progdb::UnitExports;
 use refminer_rcapi::{ApiKb, UnitDiscovery};
 
 use crate::audit::{AuditConfig, UnitErrorKind};
-use crate::binfmt;
+use crate::binfmt::{self, encode_checked, encode_kb, encode_parsed, put_u64};
 
 // ----------------------------------------------------------------------
 // Hashing and fingerprints.
@@ -122,11 +120,14 @@ pub fn mix(h: u64, word: u64) -> u64 {
 /// called names (moved out of the export layer so the KB merge needs
 /// no graphs).
 /// v3: the defined-symbol and called-name digests are gone.
-const PARSE_VERSION: u64 = 3;
+/// v4: parse entries carry the unit's function-effect exports (the
+/// export layer is gone).
+const PARSE_VERSION: u64 = 4;
 
 /// Fingerprint of the parse-stage configuration. Folds the builtin
-/// seed KB because per-unit discovery (now computed at parse time)
-/// classifies against it.
+/// seed KB because per-unit discovery (computed at parse time)
+/// classifies against it, and the graph cap because exports are read
+/// off graphs built under it.
 pub fn parse_config_fingerprint(config: &AuditConfig) -> u64 {
     let l = &config.limits;
     let mut h = FNV_OFFSET;
@@ -134,6 +135,7 @@ pub fn parse_config_fingerprint(config: &AuditConfig) -> u64 {
     h = mix(h, l.max_file_bytes as u64);
     h = mix(h, l.max_tokens as u64);
     h = mix(h, l.max_parse_depth as u64);
+    h = mix(h, l.max_graph_nodes as u64);
     h = mix(h, kb_fingerprint(&ApiKb::builtin()));
     h
 }
@@ -178,22 +180,6 @@ pub fn check_config_fingerprint(config: &AuditConfig) -> u64 {
     h
 }
 
-/// On-format version of the export layer; bump when the extraction
-/// logic changes what a [`UnitExports`] contains.
-/// v2: discovery facts moved to the parse layer; export entries are
-/// function-effect exports only.
-const EXPORT_VERSION: u64 = 2;
-
-/// Fingerprint of the export-stage (phase 1) configuration. Folds the
-/// graph cap because exports are read off built graphs.
-pub fn export_config_fingerprint(config: &AuditConfig) -> u64 {
-    let mut h = FNV_OFFSET;
-    h = mix(h, EXPORT_VERSION);
-    h = mix(h, config.limits.max_graph_nodes as u64);
-    h = mix(h, kb_fingerprint(&ApiKb::builtin()));
-    h
-}
-
 /// Fingerprint of the discovery configuration, including the builtin
 /// seed KB so a binary with a different seed never reuses old results.
 pub fn discovery_config_fingerprint(config: &AuditConfig) -> u64 {
@@ -209,7 +195,7 @@ pub fn discovery_config_fingerprint(config: &AuditConfig) -> u64 {
 /// identically regardless of hash-map iteration order.
 pub fn kb_fingerprint(kb: &ApiKb) -> u64 {
     let mut bytes = Vec::new();
-    binfmt::encode_kb(&mut bytes, kb);
+    encode_kb(&mut bytes, kb);
     fnv1a(&bytes)
 }
 
@@ -227,7 +213,7 @@ pub struct CachedError {
 }
 
 /// The parse stage's result for one unit.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ParsedUnit {
     /// The parsed AST. `None` when parsing failed (panic/oversize) —
     /// see [`ParsedUnit::parsed_ok`] — or when the entry was loaded
@@ -246,6 +232,10 @@ pub struct ParsedUnit {
     pub lines: usize,
     /// Per-unit discovery facts for the cross-unit KB merge.
     pub discovery: UnitDiscovery,
+    /// The unit's function-effect exports for the program-database
+    /// merge; empty (under the unit's path) when parsing or extraction
+    /// failed.
+    pub exports: UnitExports,
 }
 
 /// The check stage's result for one unit.
@@ -274,10 +264,6 @@ pub struct CacheStats {
     pub discovery_hits: usize,
     /// Cross-unit discovery passes executed this run (0 or 1).
     pub discovery_misses: usize,
-    /// Units whose phase-1 summary exports were served from cache.
-    pub export_hits: usize,
-    /// Units whose summary exports were extracted this run.
-    pub export_misses: usize,
 }
 
 impl CacheStats {
@@ -291,18 +277,6 @@ impl CacheStats {
             hits as f64 / total as f64
         }
     }
-
-    /// Fraction of summary-export lookups served from cache, in
-    /// `[0, 1]`. Kept separate from [`CacheStats::hit_rate`] so the
-    /// historical parse+check rate is comparable across versions.
-    pub fn export_hit_rate(&self) -> f64 {
-        let total = self.export_hits + self.export_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.export_hits as f64 / total as f64
-        }
-    }
 }
 
 impl ToJson for CacheStats {
@@ -314,10 +288,7 @@ impl ToJson for CacheStats {
             ("check_misses", self.check_misses.to_json()),
             ("discovery_hits", self.discovery_hits.to_json()),
             ("discovery_misses", self.discovery_misses.to_json()),
-            ("export_hits", self.export_hits.to_json()),
-            ("export_misses", self.export_misses.to_json()),
             ("hit_rate", self.hit_rate().to_json()),
-            ("export_hit_rate", self.export_hit_rate().to_json()),
         ])
     }
 }
@@ -328,8 +299,6 @@ impl ToJson for CacheStats {
 pub struct CacheStaleCounts {
     /// Parse-layer entries keyed by content no current unit has.
     pub parse: usize,
-    /// Export-layer entries keyed by content no current unit has.
-    pub export: usize,
     /// Check-layer entries whose `(unit, deps)` key no current unit
     /// resolves to — superseded by edits to the unit or its helpers.
     pub check: usize,
@@ -378,6 +347,23 @@ fn slot_get<K: Eq + std::hash::Hash + Copy, T>(
     }
 }
 
+/// Reads one section's framing — the entry count, then per entry its
+/// key and payload range — as disk slots, without decoding a payload.
+fn read_section<K, T>(
+    d: &mut binfmt::Dec<'_>,
+    read_key: impl Fn(&mut binfmt::Dec<'_>) -> Option<K>,
+) -> Option<Vec<(K, Slot<T>)>> {
+    (0..d.u64()?)
+        .map(|_| {
+            let key = read_key(d)?;
+            let len = d.u64()? as usize;
+            let off = d.pos();
+            d.skip(len)?;
+            Some((key, Slot::Disk { off, len }))
+        })
+        .collect()
+}
+
 // ----------------------------------------------------------------------
 // The cache proper.
 // ----------------------------------------------------------------------
@@ -400,12 +386,11 @@ pub enum CacheLoadOutcome {
     ReadFailed(String),
 }
 
-/// The four-layer audit cache. See the module docs for the layering
+/// The three-layer audit cache. See the module docs for the layering
 /// and invalidation rules.
 #[derive(Debug, Default)]
 pub struct AuditCache {
     parse: HashMap<u64, Slot<ParsedUnit>>,
-    export: HashMap<u64, Slot<UnitExports>>,
     check: HashMap<(u64, u64), Slot<CheckedUnit>>,
     discovery: HashMap<u64, Slot<ApiKb>>,
     /// The loaded cache file, backing every `Slot::Disk` byte range —
@@ -436,7 +421,8 @@ pub const QUARANTINE_SUFFIX: &str = ".corrupt";
 /// v6: parse entries drop the defined-symbol and called-name digests.
 /// v7: `kb_fingerprint` hashes the binary KB encoding; every key folds
 /// it in, so no v6 entry is addressable any more.
-const CACHE_VERSION: u64 = 7;
+/// v8: exports ride the parse entry; the export section is gone.
+const CACHE_VERSION: u64 = 8;
 
 /// First bytes of every cache file; anything else is not ours.
 const MAGIC: [u8; 8] = *b"RFMCACHE";
@@ -498,7 +484,6 @@ impl AuditCache {
     /// malformed prefix half-loaded).
     fn clear_layers(&mut self) {
         self.parse.clear();
-        self.export.clear();
         self.check.clear();
         self.discovery.clear();
         self.raw = None;
@@ -523,23 +508,6 @@ impl AuditCache {
         self.stats.parse_misses += 1;
         let arc = Arc::new(unit);
         self.parse.insert(key, Slot::Mem(arc.clone()));
-        arc
-    }
-
-    /// Export-layer lookup; counts a hit.
-    pub(crate) fn export_get(&mut self, key: u64) -> Option<Arc<UnitExports>> {
-        let hit = slot_get(&mut self.export, &self.raw, key, binfmt::decode_exports);
-        if hit.is_some() {
-            self.stats.export_hits += 1;
-        }
-        hit
-    }
-
-    /// Export-layer insert; counts the miss that required it.
-    pub(crate) fn export_put(&mut self, key: u64, unit: UnitExports) -> Arc<UnitExports> {
-        self.stats.export_misses += 1;
-        let arc = Arc::new(unit);
-        self.export.insert(key, Slot::Mem(arc.clone()));
         arc
     }
 
@@ -587,22 +555,14 @@ impl AuditCache {
         arc
     }
 
-    /// Entries per layer: `(parse, export, check, discovery)`.
-    pub fn len(&self) -> (usize, usize, usize, usize) {
-        (
-            self.parse.len(),
-            self.export.len(),
-            self.check.len(),
-            self.discovery.len(),
-        )
+    /// Entries per layer: `(parse, check, discovery)`.
+    pub fn len(&self) -> (usize, usize, usize) {
+        (self.parse.len(), self.check.len(), self.discovery.len())
     }
 
     /// Whether all layers are empty.
     pub fn is_empty(&self) -> bool {
-        self.parse.is_empty()
-            && self.export.is_empty()
-            && self.check.is_empty()
-            && self.discovery.is_empty()
+        self.parse.is_empty() && self.check.is_empty() && self.discovery.is_empty()
     }
 
     /// Counts entries that this run could never address — leftovers
@@ -613,7 +573,6 @@ impl AuditCache {
     pub fn stale_counts(
         &self,
         parse_keys: &HashSet<u64>,
-        export_keys: &HashSet<u64>,
         check_keys: &HashSet<(u64, u64)>,
         tree_fp: u64,
     ) -> CacheStaleCounts {
@@ -622,11 +581,6 @@ impl AuditCache {
                 .parse
                 .keys()
                 .filter(|k| !parse_keys.contains(k))
-                .count(),
-            export: self
-                .export
-                .keys()
-                .filter(|k| !export_keys.contains(k))
                 .count(),
             check: self
                 .check
@@ -646,49 +600,38 @@ impl AuditCache {
     /// files; still-undecoded disk slots are copied byte-for-byte.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut body = Vec::new();
-
-        let mut parse: Vec<(u64, &Slot<ParsedUnit>)> =
-            self.parse.iter().map(|(k, v)| (*k, v)).collect();
-        parse.sort_by_key(|(k, _)| *k);
-        binfmt::put_u64(&mut body, parse.len() as u64);
-        for (k, slot) in parse {
-            binfmt::put_u64(&mut body, k);
-            self.put_payload(&mut body, slot, binfmt::encode_parsed);
-        }
-
-        let mut export: Vec<(u64, &Slot<UnitExports>)> =
-            self.export.iter().map(|(k, v)| (*k, v)).collect();
-        export.sort_by_key(|(k, _)| *k);
-        binfmt::put_u64(&mut body, export.len() as u64);
-        for (k, slot) in export {
-            binfmt::put_u64(&mut body, k);
-            self.put_payload(&mut body, slot, binfmt::encode_exports);
-        }
-
-        let mut check: Vec<(&(u64, u64), &Slot<CheckedUnit>)> = self.check.iter().collect();
-        check.sort_by_key(|(k, _)| **k);
-        binfmt::put_u64(&mut body, check.len() as u64);
-        for ((uk, kb), slot) in check {
-            binfmt::put_u64(&mut body, *uk);
-            binfmt::put_u64(&mut body, *kb);
-            self.put_payload(&mut body, slot, binfmt::encode_checked);
-        }
-
-        let mut disc: Vec<(u64, &Slot<ApiKb>)> =
-            self.discovery.iter().map(|(k, v)| (*k, v)).collect();
-        disc.sort_by_key(|(k, _)| *k);
-        binfmt::put_u64(&mut body, disc.len() as u64);
-        for (k, slot) in disc {
-            binfmt::put_u64(&mut body, k);
-            self.put_payload(&mut body, slot, binfmt::encode_kb);
-        }
+        let put_pair = |b: &mut Vec<u8>, (k1, k2): (u64, u64)| {
+            put_u64(b, k1);
+            put_u64(b, k2);
+        };
+        self.put_section(&mut body, &self.parse, put_u64, encode_parsed);
+        self.put_section(&mut body, &self.check, put_pair, encode_checked);
+        self.put_section(&mut body, &self.discovery, put_u64, encode_kb);
 
         let mut out = Vec::with_capacity(HEADER_LEN + body.len());
         out.extend_from_slice(&MAGIC);
-        binfmt::put_u64(&mut out, CACHE_VERSION);
-        binfmt::put_u64(&mut out, fnv1a(&body));
+        put_u64(&mut out, CACHE_VERSION);
+        put_u64(&mut out, fnv1a(&body));
         out.extend_from_slice(&body);
         out
+    }
+
+    /// Writes one section: the entry count, then each entry's key and
+    /// length-prefixed payload, in sorted key order.
+    fn put_section<K: Ord + Copy, T>(
+        &self,
+        body: &mut Vec<u8>,
+        map: &HashMap<K, Slot<T>>,
+        put_key: impl Fn(&mut Vec<u8>, K),
+        encode: impl Fn(&mut Vec<u8>, &T),
+    ) {
+        let mut entries: Vec<(K, &Slot<T>)> = map.iter().map(|(k, v)| (*k, v)).collect();
+        entries.sort_by_key(|(k, _)| *k);
+        put_u64(body, entries.len() as u64);
+        for (k, slot) in entries {
+            put_key(body, k);
+            self.put_payload(body, slot, &encode);
+        }
     }
 
     /// Writes one length-prefixed payload: decoded slots re-encode,
@@ -702,14 +645,14 @@ impl AuditCache {
         match slot {
             Slot::Mem(v) => {
                 let at = body.len();
-                binfmt::put_u64(body, 0); // placeholder
+                put_u64(body, 0); // placeholder
                 encode(body, v);
                 let len = (body.len() - at - 8) as u64;
                 body[at..at + 8].copy_from_slice(&len.to_le_bytes());
             }
             Slot::Disk { off, len } => {
                 let raw = self.raw.as_ref().expect("disk slot without backing file");
-                binfmt::put_u64(body, *len as u64);
+                put_u64(body, *len as u64);
                 body.extend_from_slice(&raw[*off..*off + *len]);
             }
         }
@@ -745,61 +688,20 @@ impl AuditCache {
 
         // Walk the framing, recording byte ranges. Any structural
         // violation rejects the whole file.
-        let mut parse = Vec::new();
-        let mut export = Vec::new();
-        let mut check = Vec::new();
-        let mut disc = Vec::new();
-        let ok = (|| {
+        let sections = (|| {
             let mut d = binfmt::Dec::new(&bytes);
             d.skip(HEADER_LEN)?;
-            for _ in 0..d.u64()? {
-                let key = d.u64()?;
-                let len = d.u64()? as usize;
-                let off = d.pos();
-                d.skip(len)?;
-                parse.push((key, off, len));
-            }
-            for _ in 0..d.u64()? {
-                let key = d.u64()?;
-                let len = d.u64()? as usize;
-                let off = d.pos();
-                d.skip(len)?;
-                export.push((key, off, len));
-            }
-            for _ in 0..d.u64()? {
-                let uk = d.u64()?;
-                let kb = d.u64()?;
-                let len = d.u64()? as usize;
-                let off = d.pos();
-                d.skip(len)?;
-                check.push(((uk, kb), off, len));
-            }
-            for _ in 0..d.u64()? {
-                let key = d.u64()?;
-                let len = d.u64()? as usize;
-                let off = d.pos();
-                d.skip(len)?;
-                disc.push((key, off, len));
-            }
-            d.is_done().then_some(())
-        })()
-        .is_some();
-        if !ok {
+            let parse = read_section(&mut d, |d| d.u64())?;
+            let check = read_section(&mut d, |d| Some((d.u64()?, d.u64()?)))?;
+            let disc = read_section(&mut d, |d| d.u64())?;
+            d.is_done().then_some((parse, check, disc))
+        })();
+        let Some((parse, check, disc)) = sections else {
             return false;
-        }
-
-        for (k, off, len) in parse {
-            self.parse.insert(k, Slot::Disk { off, len });
-        }
-        for (k, off, len) in export {
-            self.export.insert(k, Slot::Disk { off, len });
-        }
-        for (k, off, len) in check {
-            self.check.insert(k, Slot::Disk { off, len });
-        }
-        for (k, off, len) in disc {
-            self.discovery.insert(k, Slot::Disk { off, len });
-        }
+        };
+        self.parse.extend(parse);
+        self.check.extend(check);
+        self.discovery.extend(disc);
         self.raw = Some(Arc::new(bytes));
         true
     }
@@ -853,12 +755,9 @@ mod tests {
 
     fn parsed(lines: usize) -> ParsedUnit {
         ParsedUnit {
-            tu: None,
             parsed_ok: true,
-            defines: Vec::new(),
-            errors: Vec::new(),
             lines,
-            discovery: UnitDiscovery::default(),
+            ..ParsedUnit::default()
         }
     }
 
@@ -969,22 +868,19 @@ mod tests {
             RcClass::Specific,
             ObjectFlow::Arg(0),
         ));
-        cache.parse_put(5, p);
-        cache.export_put(
-            13,
-            UnitExports {
-                path: "drivers/a/a.c".into(),
-                fns: vec![FnExport {
-                    name: "helper_put".into(),
-                    is_static: false,
-                    calls: vec![CallSite {
-                        callee: "of_node_put".into(),
-                        args: vec![Some(0), None],
-                    }],
-                    stores: vec![1],
+        p.exports = UnitExports {
+            path: "drivers/a/a.c".into(),
+            fns: vec![FnExport {
+                name: "helper_put".into(),
+                is_static: false,
+                calls: vec![CallSite {
+                    callee: "of_node_put".into(),
+                    args: vec![Some(0), None],
                 }],
-            },
-        );
+                stores: vec![1],
+            }],
+        };
+        cache.parse_put(5, p);
         cache.save().expect("save");
 
         let mut reloaded = AuditCache::with_dir(&dir);
@@ -999,27 +895,28 @@ mod tests {
         assert!(p.tu.is_none(), "ASTs must not round-trip through disk");
         assert_eq!(p.lines, 40);
         assert_eq!(p.discovery.apis[0].name, "widget_put");
-        let e = reloaded.export_get(13).expect("export entry");
-        assert_eq!(e.fns[0].calls[0].callee, "of_node_put");
+        assert_eq!(p.exports.fns[0].calls[0].callee, "of_node_put");
         assert_eq!(reloaded.stats.check_hits, 1);
         assert_eq!(reloaded.stats.parse_hits, 1);
-        assert_eq!(reloaded.stats.export_hits, 1);
-        assert!(reloaded.export_get(14).is_none());
-        assert_eq!(reloaded.stats.export_misses, 0, "a miss is counted on put");
+        assert!(reloaded.parse_get(6).is_none());
+        assert_eq!(reloaded.stats.parse_misses, 0, "a miss is counted on put");
 
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn export_config_fingerprint_differs_from_check() {
+    fn config_fingerprints_key_their_layers() {
         let config = AuditConfig::default();
         assert_ne!(
-            export_config_fingerprint(&config),
+            parse_config_fingerprint(&config),
             check_config_fingerprint(&config)
         );
+        let mut capped = config.clone();
+        capped.limits.max_graph_nodes /= 2;
         assert_ne!(
-            export_config_fingerprint(&config),
-            parse_config_fingerprint(&config)
+            parse_config_fingerprint(&config),
+            parse_config_fingerprint(&capped),
+            "the graph cap must key the parse layer, which holds exports"
         );
         let single_unit = AuditConfig {
             whole_program: false,
@@ -1046,7 +943,7 @@ mod tests {
 
         let mut lazy = AuditCache::new();
         assert!(lazy.load_bytes(bytes.clone()));
-        assert_eq!(lazy.len(), (2, 0, 1, 1));
+        assert_eq!(lazy.len(), (2, 1, 1));
         assert_eq!(lazy.to_bytes(), bytes, "undecoded resave is a byte copy");
 
         lazy.parse_get(1);
@@ -1137,12 +1034,9 @@ mod tests {
                         detail: format!("detail {}", next()),
                     });
                 }
-                cache.parse_put(next(), p);
-            }
-            for _ in 0..(next() % 4) {
-                let mut fns = Vec::new();
+                p.exports.path = format!("p{}.c", next() % 9);
                 for f in 0..(next() % 3) {
-                    fns.push(FnExport {
+                    p.exports.fns.push(FnExport {
                         name: format!("exp_{f}"),
                         is_static: next() % 2 == 0,
                         calls: vec![CallSite {
@@ -1152,13 +1046,7 @@ mod tests {
                         stores: vec![(next() % 3) as usize],
                     });
                 }
-                cache.export_put(
-                    next(),
-                    UnitExports {
-                        path: format!("p{}.c", next() % 9),
-                        fns,
-                    },
-                );
+                cache.parse_put(next(), p);
             }
             for _ in 0..(next() % 4) {
                 let mut findings = Vec::new();

@@ -41,12 +41,12 @@ fn bench_smoke_script_passes() {
     assert!(v.get("speedup_warm").is_some());
     assert!(v.get("speedup_parallel").is_some());
     assert!(v.get("runs").is_some());
-    // Schema 10: the scaling curve, the warm cache load rate,
+    // Schema 11: the scaling curve, the warm cache load rate,
     // the per-engine phase-2 time split, the fix-history diff replay,
     // the fixcheck replay, the release-ladder history replay, peak RSS,
     // and explicit gate states. A skipped gate must be visible, not a
     // silent pass.
-    assert_eq!(v.get("schema").and_then(|s| s.as_f64()), Some(10.0));
+    assert_eq!(v.get("schema").and_then(|s| s.as_f64()), Some(11.0));
     let cores = v.get("cores").and_then(|c| c.as_u64()).expect("cores");
     let jobs = v.get("jobs").and_then(|c| c.as_u64()).expect("jobs");
     let gate = v
@@ -184,7 +184,8 @@ fn bench_smoke_script_passes() {
         "history replay re-parsed more than each release's delta"
     );
 
-    assert!(v.get("summary_hit_rate").is_some());
+    // The export cache layer is gone, and with it its hit rate.
+    assert!(v.get("summary_hit_rate").is_none(), "retired key reported");
     assert!(v.get("cold_phase1_secs").is_some());
     assert!(v.get("cold_phase2_secs").is_some());
     assert!(v.get("cold_parse_secs").is_some());
@@ -195,6 +196,9 @@ fn bench_smoke_script_passes() {
         .expect("warm run present");
     assert!(warm.get("phase1_secs").is_some());
     assert!(warm.get("phase2_secs").is_some());
+    // Three cache layers: three hit/miss pairs and one hit rate.
+    let cache = warm.get("cache").and_then(|c| c.as_object());
+    assert_eq!(cache.expect("per-run cache counters").len(), 7, "{cache:?}");
     let stages = warm.get("stages").expect("per-run stage breakdown");
     for stage in [
         "parse",
@@ -210,10 +214,6 @@ fn bench_smoke_script_passes() {
             "missing stage {stage}: {stages}"
         );
     }
-    assert!(
-        stdout.contains("summary-cache hit rate"),
-        "stdout:\n{stdout}"
-    );
 
     // The precision/recall eval gate ran and wrote its report.
     let eval = std::fs::read_to_string(&eval_file).expect("eval report written");

@@ -183,10 +183,11 @@ fn top_level_stage_times_fit_within_the_total() {
 
 #[test]
 fn stage_spans_enclose_their_unit_spans() {
-    // Phase 2 is a barrier pipeline, so every per-unit span of a stage
-    // lies inside that stage's span, and the program-database merge
-    // between export and check takes real time. Two workers make the
-    // fan-out genuinely parallel.
+    // The audit is a barrier pipeline — parse, export, merge.kb,
+    // merge.progdb, check — so every per-unit span of a stage lies
+    // inside that stage's span, each stage ends before the next one
+    // starts, and the program-database merge between export and check
+    // takes real time. Two workers make the fan-out genuinely parallel.
     let dir = write_corpus_tree("enclose");
     let trace_path = dir.join("trace.jsonl");
     let out = refminer()
@@ -230,9 +231,19 @@ fn stage_spans_enclose_their_unit_spans() {
         }
         assert!(seen > 0, "no {inner} spans");
     }
+    // Exports are built right after the parse, before the KB merge.
+    let (export_lo, export_hi) = stage("export");
+    assert!(
+        stage("parse").1 <= export_lo,
+        "export starts before parse ends"
+    );
+    assert!(
+        export_hi <= stage("merge.kb").0,
+        "merge.kb starts before export ends"
+    );
     let (merge_lo, merge_hi) = stage("merge.progdb");
     assert!(merge_hi > merge_lo, "merge.progdb has zero width");
-    assert!(stage("export").1 <= merge_lo && merge_hi <= stage("check").0);
+    assert!(export_hi <= merge_lo && merge_hi <= stage("check").0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -253,8 +264,15 @@ fn tracing_never_changes_findings() {
     assert_eq!(plain.stdout, cold, "cold cached trace changed the bytes");
     assert_eq!(plain.stdout, warm, "warm cached trace changed the bytes");
 
-    // The warm run's counters flip from misses to hits — proof the
-    // trace reflects the work actually performed.
+    // The warm run's counters flip from misses to hits, and no unit is
+    // parsed, exported or checked — proof the trace reflects the work
+    // actually performed.
+    for unit_stage in ["parse.unit", "export.unit", "check.unit"] {
+        let ran = warm_lines
+            .iter()
+            .any(|v| v.get("stage").and_then(|s| s.as_str()) == Some(unit_stage));
+        assert!(!ran, "warm run recorded a {unit_stage} span");
+    }
     let hits = warm_lines[1..]
         .iter()
         .filter(|v| field(v, "type").as_str() == Some("counter"))

@@ -61,13 +61,12 @@ if ! benchpipe "${args[@]}"; then
     exit 1
 fi
 
-# Surface the phase split, cache hit rate, and the warm cache load
-# rate from the report; the keys appear exactly once at the top level.
+# Surface the phase split and the warm cache load rate from the
+# report; the keys appear exactly once at the top level.
 top_key() {
     sed -n "s/^ *\"$1\": *\([0-9.eE+-]*\),*$/\1/p" "$out" | head -n 1
 }
-echo "bench.sh: cold phases $(top_key cold_phase1_secs)s parse + $(top_key cold_phase2_secs)s export+check"
-echo "bench.sh: warm summary-cache hit rate $(top_key summary_hit_rate)"
+echo "bench.sh: cold phases $(top_key cold_phase1_secs)s parse+export+kb + $(top_key cold_phase2_secs)s progdb+check"
 echo "bench.sh: warm cache load $(top_key warm_load_mib_s) MiB/s"
 
 # Precision/recall regression gate against the committed F1 baseline.

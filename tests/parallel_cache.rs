@@ -269,14 +269,17 @@ fn cross_unit_tree_is_deterministic_across_jobs_and_cache_temperature() {
     assert_eq!(json_lines(&seq), json_lines(&cold));
     assert_eq!(json_lines(&cold), json_lines(&warm));
     assert_eq!(warm.cache.check_misses, 0);
-    assert_eq!(warm.cache.export_misses, 0, "summary layer must be warm");
-    assert_eq!(warm.cache.export_hits, tree.files.len());
+    assert_eq!(
+        warm.cache.parse_hits,
+        tree.files.len(),
+        "parse entries, and the exports they carry, must be warm"
+    );
 }
 
 #[test]
 fn helper_summary_change_rechecks_exactly_the_dependent_units() {
     let base = cross_tree();
-    // Discovery off: a stable KB isolates the export/check layers.
+    // Discovery off: a stable KB isolates the parse/check layers.
     let cfg = config(4, false);
     let mut cache = AuditCache::new();
     audit_with_cache(&Project::from_tree(&base), &cfg, &mut cache);
@@ -298,11 +301,7 @@ fn helper_summary_change_rechecks_exactly_the_dependent_units() {
     let incr = audit_with_cache(&Project::from_tree(&rev), &cfg, &mut cache);
     assert_eq!(
         incr.cache.parse_misses, 1,
-        "only the helpers unit re-parses"
-    );
-    assert_eq!(
-        incr.cache.export_misses, 1,
-        "only the helpers unit re-exports"
+        "only the helpers unit re-parses and re-exports"
     );
     assert_eq!(
         incr.cache.check_misses, 2,
@@ -337,7 +336,6 @@ fn summary_neutral_helper_edit_rechecks_only_the_edited_unit() {
 
     let incr = audit_with_cache(&Project::from_tree(&rev), &cfg, &mut cache);
     assert_eq!(incr.cache.parse_misses, 1);
-    assert_eq!(incr.cache.export_misses, 1);
     assert_eq!(
         incr.cache.check_misses, 1,
         "no summary changed, so no dependent re-checks"
@@ -359,5 +357,52 @@ fn config_change_invalidates_check_layer_not_parse_layer() {
     assert!(
         second.cache.check_misses > 0,
         "check layer re-keys on the KB"
+    );
+}
+
+#[test]
+fn graph_cap_change_invalidates_parse_layer() {
+    // A helper whose graph fits only under the default cap decides
+    // whether its cross-unit caller leaks: its summary shows the
+    // reference consumed, never released. Exports ride the parse entry,
+    // so the cap must key the parse layer or a capped run would reuse
+    // the uncapped summary.
+    let mut helper = String::from("void gc_register_stats(struct device_node *np)\n{\n");
+    for i in 0..300 {
+        helper.push_str(&format!("        if (c{i}) update_counter({i});\n"));
+    }
+    helper.push_str("        update_counter(np->name);\n}\n");
+    let caller = r#"
+static void gc_collect(void)
+{
+        struct device_node *np = of_find_node_by_name(NULL, "gc");
+
+        if (!np)
+                return;
+        gc_register_stats(np);
+}
+"#;
+    let project = Project::from_sources(vec![
+        ("drivers/gc/gc_helpers.c".to_string(), helper),
+        ("drivers/gc/gc_core.c".to_string(), caller.to_string()),
+    ]);
+    let full = config(2, false);
+    let mut capped = config(2, false);
+    capped.limits.max_graph_nodes = 100;
+
+    let mut cache = AuditCache::new();
+    let cold_full = audit_with_cache(&project, &full, &mut cache);
+    let warm_capped = audit_with_cache(&project, &capped, &mut cache);
+    assert_eq!(
+        warm_capped.cache.parse_misses,
+        project.units().len(),
+        "a new graph cap must re-parse and re-export every unit"
+    );
+    let cold_capped = audit(&project, &capped);
+    assert_eq!(json_lines(&warm_capped), json_lines(&cold_capped));
+    assert_ne!(
+        json_lines(&cold_full),
+        json_lines(&cold_capped),
+        "the capped helper's summary must decide the caller's finding"
     );
 }
