@@ -47,7 +47,7 @@ use refminer_checkers::{
 };
 use refminer_clex::{scan_defines, MacroDef};
 use refminer_cparse::{parse_str_limited, ParseLimits, TranslationUnit};
-use refminer_cpg::FunctionGraph;
+use refminer_cpg::{Cfg, FunctionGraph, NodeFacts};
 use refminer_delta::DeltaEngine;
 use refminer_rcapi::{discover_unit, merge_discoveries, ApiKb, DiscoverConfig, UnitDiscovery};
 use refminer_trace::TraceHandle;
@@ -503,17 +503,16 @@ fn unit_ast<'a>(
     }
 }
 
-/// The export stage for one freshly parsed unit: build graphs and read
-/// off the function-effect digest, all inside the unit's fault
-/// boundary. Units that did not parse — and units whose extraction
-/// faults — contribute an empty digest under their own path, so unit
-/// indexing in the merged database never shifts.
+/// The export stage for one freshly parsed unit: read off the
+/// function-effect digest inside the unit's fault boundary. Units that
+/// did not parse — and units whose extraction faults — contribute an
+/// empty digest under their own path, so unit indexing in the merged
+/// database never shifts.
 fn export_one(
     unit: &SourceUnit,
     parsed: &ParsedUnit,
     limits: &AuditLimits,
     parse_limits: &ParseLimits,
-    trace: &TraceHandle,
 ) -> UnitExports {
     let empty = || UnitExports {
         path: unit.path.clone(),
@@ -525,19 +524,34 @@ fn export_one(
     let Ok(tu) = unit_ast(unit, parsed, parse_limits) else {
         return empty();
     };
-    let start = Instant::now();
-    let exported = fault_boundary(|| {
-        let (graphs, _capped, feas) =
-            FunctionGraph::build_all_limited_timed(&tu, limits.max_graph_nodes);
-        let globals: Vec<String> = tu.globals().map(|g| g.name.clone()).collect();
-        (UnitExports::extract(&unit.path, &graphs, &globals), feas)
-    });
-    match exported {
-        Ok((out, feas)) => {
-            trace.record_span("feasibility", Some(&unit.path), start, feas);
-            out
-        }
-        Err(_) => empty(),
+    fault_boundary(|| unit_exports(&unit.path, &tu, limits.max_graph_nodes))
+        .unwrap_or_else(|_| empty())
+}
+
+/// One unit's function-effect digest, built from each function's CFG
+/// and node facts alone: exports need no origins, error-block or
+/// feasibility analysis. A function over the `max_graph_nodes` cap is
+/// left out, exactly as the check stage leaves it unanalysed.
+fn unit_exports(path: &str, tu: &TranslationUnit, max_graph_nodes: usize) -> UnitExports {
+    let globals: Vec<String> = tu.globals().map(|g| g.name.clone()).collect();
+    let fns = tu
+        .functions()
+        .filter_map(|f| {
+            let cfg = Cfg::build_capped(f, max_graph_nodes).ok()?;
+            let facts: Vec<NodeFacts> = cfg.nodes.iter().map(NodeFacts::of).collect();
+            let params: Vec<Option<&str>> = f.params.iter().map(|p| p.name.as_deref()).collect();
+            Some(UnitExports::extract_fn(
+                &f.name,
+                f.is_static,
+                &params,
+                &facts,
+                &globals,
+            ))
+        })
+        .collect();
+    UnitExports {
+        path: path.to_string(),
+        fns,
     }
 }
 
@@ -839,7 +853,7 @@ pub fn audit_cancellable(
             return UnitExports::default();
         }
         let _unit_span = trace.unit_span("export.unit", &unit.path);
-        export_one(unit, p, limits, &parse_limits, trace)
+        export_one(unit, p, limits, &parse_limits)
     });
     // Bail *before* the put loop: a tripped token means some results
     // are placeholders, and none of them may enter the cache.
@@ -1063,7 +1077,8 @@ pub fn audit_cancellable(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use refminer_corpus::{generate_tree, TreeConfig};
+    use refminer_corpus::{generate_tree, SyntheticTree, TreeConfig};
+    use refminer_cparse::parse_str;
 
     #[test]
     fn audits_synthetic_tree_slice() {
@@ -1304,5 +1319,174 @@ int probe(void)
         );
         // The over-cap function was not analyzed.
         assert_eq!(report.functions, 0);
+    }
+
+    // The export stage's differential check: the digest read off each
+    // function's CFG and node facts (`unit_exports`) must equal the digest
+    // read off the fully built graphs (`UnitExports::extract` over
+    // `FunctionGraph::build_all_limited`) under the same node cap.
+
+    /// Both sides for one unit: (facts-only, graph-derived).
+    fn both_sides(path: &str, src: &str, max_nodes: usize) -> (UnitExports, UnitExports) {
+        let tu = parse_str(path, src);
+        let (graphs, _capped) = FunctionGraph::build_all_limited(&tu, max_nodes);
+        let globals: Vec<String> = tu.globals().map(|g| g.name.clone()).collect();
+        (
+            unit_exports(path, &tu, max_nodes),
+            UnitExports::extract(path, &graphs, &globals),
+        )
+    }
+
+    /// Asserts the two sides agree on every unit of `tree`; returns how
+    /// many function exports were compared.
+    fn assert_tree_agrees(tree: &SyntheticTree) -> usize {
+        let max_nodes = AuditLimits::default().max_graph_nodes;
+        let project = Project::from_tree(tree);
+        let mut fns = 0;
+        for unit in project.units() {
+            let (facts, graphs) = both_sides(&unit.path, &unit.text, max_nodes);
+            assert_eq!(facts, graphs, "exports differ on {}", unit.path);
+            fns += facts.fns.len();
+        }
+        fns
+    }
+
+    #[test]
+    fn generated_trees_export_identically() {
+        for seed in [1, 2, 3, 0xC0FFEE] {
+            let tree = generate_tree(&TreeConfig {
+                seed,
+                scale: 0.1,
+                include_vendor: true,
+                cross_unit: true,
+                ..Default::default()
+            });
+            assert!(
+                assert_tree_agrees(&tree) > 0,
+                "seed {seed} exported nothing"
+            );
+        }
+    }
+
+    #[test]
+    fn table4_tree_exports_identically() {
+        let tree = generate_tree(&TreeConfig::default());
+        assert!(assert_tree_agrees(&tree) > 0);
+    }
+
+    #[test]
+    fn fp_trap_eval_tree_exports_identically() {
+        // The tree `benchpipe --eval` scores.
+        let tree = generate_tree(&TreeConfig {
+            fp_traps: true,
+            include_tricky: false,
+            ..Default::default()
+        });
+        assert!(assert_tree_agrees(&tree) > 0);
+    }
+
+    const STORES_UNIT: &str = r#"
+    static struct device_node *saved_np;
+
+    void keep_global(struct device_node *np)
+    {
+            saved_np = np;
+    }
+
+    void keep_field(struct foo_priv *priv, struct device_node *np)
+    {
+            priv->node = np;
+    }
+
+    void keep_indirect(struct device_node **out, struct device_node *np)
+    {
+            *out = np;
+    }
+
+    int keep_local(struct device_node *np)
+    {
+            struct device_node *tmp = np;
+
+            of_node_get(tmp);
+            return 0;
+    }
+
+    static void walk_children(struct device_node *parent, struct device *dev)
+    {
+            struct device_node *child;
+
+            for_each_child_of_node(of_get_parent(parent), child) {
+                    if (!child)
+                            continue;
+                    dev->of_node = child;
+                    of_node_put(child);
+            }
+            put_device(dev);
+    }
+    "#;
+
+    #[test]
+    fn capped_function_is_absent_from_both_sides() {
+        let mut src = String::from(STORES_UNIT);
+        src.push_str("int huge(struct device_node *np)\n{\n");
+        for i in 0..200 {
+            src.push_str(&format!("        if (c{i}) of_node_put(np);\n"));
+        }
+        src.push_str("        return 0;\n}\n");
+        src.push_str("void after_huge(struct device_node *np)\n{\n        of_node_put(np);\n}\n");
+
+        let (facts, graphs) = both_sides("drivers/x/stores.c", &src, 100);
+        assert_eq!(facts, graphs);
+        let names: Vec<&str> = facts.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "keep_global",
+                "keep_field",
+                "keep_indirect",
+                "keep_local",
+                "walk_children",
+                "after_huge"
+            ],
+            "the over-cap function is left out, its siblings are kept"
+        );
+
+        let stores = |name: &str| -> Vec<usize> {
+            let f = facts.fns.iter().find(|f| f.name == name).unwrap();
+            f.stores.clone()
+        };
+        // A global, a field and an indirect store each escape the
+        // parameter; a store into a local does not.
+        assert_eq!(stores("keep_global"), [0]);
+        assert_eq!(stores("keep_field"), [1]);
+        assert_eq!(stores("keep_indirect"), [1]);
+        assert_eq!(stores("keep_local"), Vec::<usize>::new());
+
+        // The macro loop's head contributes its argument calls, rooted in
+        // the parameter; the loop variable it binds is a local.
+        let walk = facts
+            .fns
+            .iter()
+            .find(|f| f.name == "walk_children")
+            .unwrap();
+        assert!(walk.is_static);
+        let parent_call = walk
+            .calls
+            .iter()
+            .find(|c| c.callee == "of_get_parent")
+            .expect("macro-loop argument call exported");
+        assert_eq!(parent_call.args, [Some(0)]);
+        let put_dev = walk
+            .calls
+            .iter()
+            .find(|c| c.callee == "put_device")
+            .unwrap();
+        assert_eq!(put_dev.args, [Some(1)]);
+        assert_eq!(walk.stores, Vec::<usize>::new());
+
+        // Uncapped, the big function is exported by both sides too.
+        let (facts, graphs) = both_sides("drivers/x/stores.c", &src, usize::MAX);
+        assert_eq!(facts, graphs);
+        assert!(facts.fns.iter().any(|f| f.name == "huge"));
     }
 }

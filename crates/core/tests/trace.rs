@@ -198,15 +198,18 @@ fn stage_spans_enclose_their_unit_spans() {
         .expect("run");
     assert!(out.status.code().is_some_and(|c| c <= 1), "{out:?}");
     let text = std::fs::read_to_string(&trace_path).expect("trace file written");
-    let spans: Vec<(String, u64, u64)> = text
+    let span_lines: Vec<Value> = text
         .lines()
         .map(|l| Value::parse(l).expect("trace line"))
         .filter(|v| field(v, "type").as_str() == Some("span"))
+        .collect();
+    let spans: Vec<(String, u64, u64)> = span_lines
+        .iter()
         .map(|v| {
             (
-                field(&v, "stage").as_str().unwrap().to_string(),
-                field(&v, "start_us").as_u64().unwrap(),
-                field(&v, "dur_us").as_u64().unwrap(),
+                field(v, "stage").as_str().unwrap().to_string(),
+                field(v, "start_us").as_u64().unwrap(),
+                field(v, "dur_us").as_u64().unwrap(),
             )
         })
         .collect();
@@ -244,6 +247,34 @@ fn stage_spans_enclose_their_unit_spans() {
     let (merge_lo, merge_hi) = stage("merge.progdb");
     assert!(merge_hi > merge_lo, "merge.progdb has zero width");
     assert!(export_hi <= merge_lo && merge_hi <= stage("check").0);
+    // Only the check stage runs the feasibility fixpoint (exports are
+    // read off CFGs and node facts), so every `feasibility` span nests
+    // in a `check.unit` span of its own unit.
+    let unit_spans = |stage: &str| -> Vec<(String, u64, u64)> {
+        span_lines
+            .iter()
+            .filter(|v| field(v, "stage").as_str() == Some(stage))
+            .map(|v| {
+                let start = field(v, "start_us").as_u64().unwrap();
+                (
+                    field(v, "unit").as_str().unwrap().to_string(),
+                    start,
+                    start + field(v, "dur_us").as_u64().unwrap(),
+                )
+            })
+            .collect()
+    };
+    let checks = unit_spans("check.unit");
+    let feas = unit_spans("feasibility");
+    assert!(!feas.is_empty(), "no feasibility spans");
+    for (unit, start, end) in &feas {
+        assert!(
+            checks
+                .iter()
+                .any(|(u, lo, hi)| u == unit && lo <= start && *end <= hi + 1),
+            "feasibility [{start}, {end}] of {unit} lies in no check.unit span of that unit"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -85,6 +85,29 @@ pub struct CfgNode {
     pub loops: Vec<NodeId>,
 }
 
+/// A function whose graph was rejected by the node cap before the
+/// expensive analyses ran — the audit layer's defense against
+/// machine-generated functions with pathological control flow.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GraphCapExceeded {
+    /// The function that blew the cap.
+    pub function: String,
+    /// How many CFG nodes it produced.
+    pub nodes: usize,
+    /// The cap in force.
+    pub max_nodes: usize,
+}
+
+impl std::fmt::Display for GraphCapExceeded {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "function `{}` produced {} CFG nodes (cap {})",
+            self.function, self.nodes, self.max_nodes
+        )
+    }
+}
+
 /// A per-function control-flow graph.
 ///
 /// # Examples
@@ -123,6 +146,21 @@ impl Cfg {
         }
         b.resolve_gotos();
         b.cfg
+    }
+
+    /// Builds the CFG only if it has at most `max_nodes` nodes. This is
+    /// the one node-cap rule: an over-cap function gets no per-node
+    /// analyses, no findings and no exported summary.
+    pub fn build_capped(func: &FunctionDef, max_nodes: usize) -> Result<Cfg, GraphCapExceeded> {
+        let cfg = Cfg::build(func);
+        if cfg.nodes.len() > max_nodes {
+            return Err(GraphCapExceeded {
+                function: func.name.clone(),
+                nodes: cfg.nodes.len(),
+                max_nodes,
+            });
+        }
+        Ok(cfg)
     }
 
     /// Successors of a node.
@@ -501,6 +539,22 @@ mod tests {
         // entry, exit + 3 statements.
         assert_eq!(cfg.nodes.len(), 5);
         assert!(cfg.reachable(cfg.entry, cfg.exit));
+    }
+
+    #[test]
+    fn node_cap_is_inclusive() {
+        let tu = parse_str("t.c", "int f(int a, int b) { a = 1; b = 2; return a; }");
+        let f = tu.function("f").expect("parsed");
+        assert_eq!(Cfg::build_capped(f, 5).expect("at the cap").nodes.len(), 5);
+        let err = Cfg::build_capped(f, 4).expect_err("over the cap");
+        assert_eq!(
+            err,
+            GraphCapExceeded {
+                function: "f".to_string(),
+                nodes: 5,
+                max_nodes: 4,
+            }
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::time::{Duration, Instant};
 
 use refminer_cparse::{FunctionDef, TranslationUnit};
 
-use crate::cfg::{Cfg, NodeId};
+use crate::cfg::{Cfg, GraphCapExceeded, NodeId};
 use crate::errorpath::error_nodes;
 use crate::facts::NodeFacts;
 use crate::feasibility::FeasAnalysis;
@@ -53,29 +53,6 @@ pub struct FunctionGraph {
     pub feas: FeasAnalysis,
 }
 
-/// A function whose graph was rejected by the node cap before the
-/// expensive analyses ran — the audit layer's defense against
-/// machine-generated functions with pathological control flow.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GraphCapExceeded {
-    /// The function that blew the cap.
-    pub function: String,
-    /// How many CFG nodes it produced.
-    pub nodes: usize,
-    /// The cap in force.
-    pub max_nodes: usize,
-}
-
-impl std::fmt::Display for GraphCapExceeded {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "function `{}` produced {} CFG nodes (cap {})",
-            self.function, self.nodes, self.max_nodes
-        )
-    }
-}
-
 impl FunctionGraph {
     /// Builds the full graph for one function.
     pub fn build(func: &FunctionDef) -> FunctionGraph {
@@ -104,14 +81,7 @@ impl FunctionGraph {
         max_nodes: usize,
         feas_time: &mut Duration,
     ) -> Result<FunctionGraph, GraphCapExceeded> {
-        let cfg = Cfg::build(func);
-        if cfg.nodes.len() > max_nodes {
-            return Err(GraphCapExceeded {
-                function: func.name.clone(),
-                nodes: cfg.nodes.len(),
-                max_nodes,
-            });
-        }
+        let cfg = Cfg::build_capped(func, max_nodes)?;
         let facts: Vec<NodeFacts> = cfg.nodes.iter().map(NodeFacts::of).collect();
         let params: Vec<String> = func.params.iter().filter_map(|p| p.name.clone()).collect();
         let origins = Origins::compute(&cfg, &facts, &params);

@@ -22,10 +22,10 @@ mod graph;
 mod origins;
 mod paths;
 
-pub use cfg::{Cfg, CfgNode, EdgeKind, NodeId, NodeKind, Payload};
+pub use cfg::{Cfg, CfgNode, EdgeKind, GraphCapExceeded, NodeId, NodeKind, Payload};
 pub use errorpath::{error_nodes, is_error_label, null_guard_nodes};
 pub use facts::{ArgFact, AssignFact, CallFact, CheckFact, NodeFacts, StoreTarget};
 pub use feasibility::{FeasAnalysis, Feasibility};
-pub use graph::{FunctionGraph, GraphCapExceeded};
+pub use graph::FunctionGraph;
 pub use origins::{Origin, Origins};
 pub use paths::{PathQuery, Step};

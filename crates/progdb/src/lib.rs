@@ -25,7 +25,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use refminer_cpg::{FunctionGraph, StoreTarget};
+use refminer_cpg::{FunctionGraph, NodeFacts, StoreTarget};
 use refminer_rcapi::{ApiKb, RcDir};
 
 /// The refcounting effects one function applies to its parameters.
@@ -86,59 +86,75 @@ fn push_unique(v: &mut Vec<usize>, idx: usize) {
 }
 
 impl UnitExports {
-    /// Extracts the exports of one unit from its function graphs.
-    ///
-    /// `globals` are the unit's global variable names; a store into one
-    /// of them counts as an escape (mirroring the checkers' notion of
-    /// "escapes to a long-lived location").
+    /// Extracts the exports of one unit from its function graphs: one
+    /// [`UnitExports::extract_fn`] per graph, in graph order.
     pub fn extract(path: &str, graphs: &[FunctionGraph], globals: &[String]) -> UnitExports {
         let fns = graphs
             .iter()
             .map(|g| {
                 let params: Vec<Option<&str>> =
                     g.func.params.iter().map(|p| p.name.as_deref()).collect();
-                let param_index = |root: Option<&str>| -> Option<usize> {
-                    let root = root?;
-                    params.iter().position(|p| *p == Some(root))
-                };
-                let mut calls = Vec::new();
-                let mut stores = Vec::new();
-                for n in g.cfg.node_ids() {
-                    for call in &g.facts[n].calls {
-                        calls.push(CallSite {
-                            callee: call.name.clone(),
-                            args: call
-                                .args
-                                .iter()
-                                .map(|a| param_index(a.root.as_deref()))
-                                .collect(),
-                        });
-                    }
-                    for assign in &g.facts[n].assigns {
-                        let Some(idx) = param_index(assign.rhs_root.as_deref()) else {
-                            continue;
-                        };
-                        let escapes = match &assign.target {
-                            StoreTarget::Field { .. } | StoreTarget::Indirect(_) => true,
-                            StoreTarget::Var(v) => globals.iter().any(|name| name == v),
-                            StoreTarget::Other => false,
-                        };
-                        if escapes {
-                            push_unique(&mut stores, idx);
-                        }
-                    }
-                }
-                FnExport {
-                    name: g.name().to_string(),
-                    is_static: g.func.is_static,
-                    calls,
-                    stores,
-                }
+                UnitExports::extract_fn(g.name(), g.func.is_static, &params, &g.facts, globals)
             })
             .collect();
         UnitExports {
             path: path.to_string(),
             fns,
+        }
+    }
+
+    /// Extracts one function's export from its node facts alone —
+    /// `facts` parallel to the function's CFG nodes, `params` its
+    /// parameter names in order. No path analysis is needed: the
+    /// export is every direct call and every parameter stored into a
+    /// long-lived location.
+    ///
+    /// `globals` are the unit's global variable names; a store into one
+    /// of them counts as an escape (mirroring the checkers' notion of
+    /// "escapes to a long-lived location").
+    pub fn extract_fn(
+        name: &str,
+        is_static: bool,
+        params: &[Option<&str>],
+        facts: &[NodeFacts],
+        globals: &[String],
+    ) -> FnExport {
+        let param_index = |root: Option<&str>| -> Option<usize> {
+            let root = root?;
+            params.iter().position(|p| *p == Some(root))
+        };
+        let mut calls = Vec::new();
+        let mut stores = Vec::new();
+        for node in facts {
+            for call in &node.calls {
+                calls.push(CallSite {
+                    callee: call.name.clone(),
+                    args: call
+                        .args
+                        .iter()
+                        .map(|a| param_index(a.root.as_deref()))
+                        .collect(),
+                });
+            }
+            for assign in &node.assigns {
+                let Some(idx) = param_index(assign.rhs_root.as_deref()) else {
+                    continue;
+                };
+                let escapes = match &assign.target {
+                    StoreTarget::Field { .. } | StoreTarget::Indirect(_) => true,
+                    StoreTarget::Var(v) => globals.iter().any(|name| name == v),
+                    StoreTarget::Other => false,
+                };
+                if escapes {
+                    push_unique(&mut stores, idx);
+                }
+            }
+        }
+        FnExport {
+            name: name.to_string(),
+            is_static,
+            calls,
+            stores,
         }
     }
 }
