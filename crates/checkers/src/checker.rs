@@ -2,10 +2,11 @@
 
 use refminer_cparse::TranslationUnit;
 use refminer_cpg::{FunctionGraph, NodeId, StoreTarget};
-use refminer_progdb::ProgramDb;
+use refminer_progdb::{fold, mix, ProgramDb, FNV_OFFSET};
 use refminer_rcapi::{ApiKb, RcApi};
 
 use crate::ctx::CheckCtx;
+use crate::engine::{run_engines_traced, AnalysisEngine, TemplateEngine};
 use crate::finding::Finding;
 
 /// A static checker for one anti-pattern.
@@ -67,19 +68,11 @@ pub fn checkers_for_patterns(patterns: &[crate::finding::AntiPattern]) -> Vec<Bo
 /// ```
 pub fn check_unit(unit: &TranslationUnit, kb: &ApiKb) -> Vec<Finding> {
     let graphs = FunctionGraph::build_all(unit);
-    check_unit_with_graphs(unit, kb, &graphs)
+    check_unit_with_checkers(unit, kb, &graphs, default_checkers())
 }
 
-/// Like [`check_unit`], reusing pre-built graphs.
-pub fn check_unit_with_graphs(
-    unit: &TranslationUnit,
-    kb: &ApiKb,
-    graphs: &[FunctionGraph],
-) -> Vec<Finding> {
-    check_unit_with_checkers(unit, kb, graphs, &default_checkers())
-}
-
-/// Runs an explicit checker subset (ablation studies, custom configs).
+/// Runs an explicit checker subset (ablation studies, custom configs)
+/// as a [`TemplateEngine`] over pre-built graphs.
 ///
 /// Helper effects resolve against a unit-local [`ProgramDb`], so the
 /// result is the single-unit view of the whole-program pipeline.
@@ -87,67 +80,25 @@ pub fn check_unit_with_checkers(
     unit: &TranslationUnit,
     kb: &ApiKb,
     graphs: &[FunctionGraph],
-    checkers: &[Box<dyn Checker>],
+    checkers: Vec<Box<dyn Checker>>,
 ) -> Vec<Finding> {
     let globals: Vec<String> = unit.globals().map(|g| g.name.clone()).collect();
     let program = ProgramDb::local(&unit.path, graphs, &globals, kb);
-    check_unit_with_program(unit, kb, graphs, checkers, &program)
-}
-
-/// Runs checkers over one unit against an externally built
-/// [`ProgramDb`] — the phase-2 entry point of the whole-program audit,
-/// where the database merges summaries from every unit in the tree.
-pub fn check_unit_with_program(
-    unit: &TranslationUnit,
-    kb: &ApiKb,
-    graphs: &[FunctionGraph],
-    checkers: &[Box<dyn Checker>],
-    program: &ProgramDb,
-) -> Vec<Finding> {
-    check_unit_with_program_traced(
+    let engines: Vec<Box<dyn AnalysisEngine>> = vec![Box::new(TemplateEngine::new(checkers))];
+    run_engines_traced(
         unit,
         kb,
         graphs,
-        checkers,
-        program,
+        &engines,
+        &program,
         &refminer_trace::TraceHandle::disabled(),
     )
-}
-
-/// Like [`check_unit_with_program`], attributing the wall time each
-/// checker spends on this unit to a `checker.{name}.us` trace counter.
-/// With a disabled handle the timing collapses to a no-op, and the
-/// findings are identical either way — tracing only observes.
-pub fn check_unit_with_program_traced(
-    unit: &TranslationUnit,
-    kb: &ApiKb,
-    graphs: &[FunctionGraph],
-    checkers: &[Box<dyn Checker>],
-    program: &ProgramDb,
-    trace: &refminer_trace::TraceHandle,
-) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for graph in graphs {
-        let ctx = CheckCtx {
-            file: &unit.path,
-            graph,
-            kb,
-            unit,
-            all_graphs: graphs,
-            program,
-            trace: trace.clone(),
-        };
-        out.extend(run_checkers_on_graph(&ctx, checkers));
-    }
-    dedup_findings(&mut out);
-    out
 }
 
 /// Runs the template checkers over one function graph, attributing
 /// per-checker wall time to `checker.{name}.us` trace counters and
 /// stamping each finding with its checker name and the template engine
-/// id. The shared inner loop of both [`check_unit_with_program_traced`]
-/// and the engine-layer `TemplateEngine`.
+/// id: the body of the engine-layer [`TemplateEngine`].
 pub(crate) fn run_checkers_on_graph(
     ctx: &CheckCtx<'_>,
     checkers: &[Box<dyn Checker>],
@@ -236,17 +187,10 @@ pub fn checker_set_fingerprint() -> u64 {
     // trip is reported (and withholds the function's findings) instead
     // of being silent.
     const CHECKER_LOGIC_VERSION: u64 = 5;
-    let mut h: u64 = 0xcbf29ce484222325; // FNV-1a offset basis
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    };
-    eat(&CHECKER_LOGIC_VERSION.to_le_bytes());
+    let mut h = mix(FNV_OFFSET, CHECKER_LOGIC_VERSION);
     for p in crate::finding::AntiPattern::all() {
-        eat(p.id().as_bytes());
-        eat(p.template_text().as_bytes());
+        h = fold(h, p.id().as_bytes());
+        h = fold(h, p.template_text().as_bytes());
     }
     h
 }

@@ -240,15 +240,10 @@ int f(struct device *d)
             &db,
             &refminer_trace::TraceHandle::disabled(),
         );
-        let via_checkers = crate::checker::check_unit_with_program(
-            &tu,
-            &kb,
-            &graphs,
-            &crate::checker::default_checkers(),
-            &db,
-        );
-        assert_eq!(via_engines, via_checkers);
+        assert_eq!(via_engines, crate::checker::check_unit(&tu, &kb));
         assert_eq!(via_engines.len(), 1);
+        assert_eq!(via_engines[0].pattern, crate::finding::AntiPattern::P1);
+        assert_eq!(via_engines[0].checkers, vec!["ReturnErrorChecker"]);
         assert_eq!(via_engines[0].engines, vec![EngineId::Template]);
     }
 }

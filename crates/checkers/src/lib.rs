@@ -35,9 +35,8 @@ mod location;
 mod risk;
 
 pub use checker::{
-    check_unit, check_unit_with_checkers, check_unit_with_graphs, check_unit_with_program,
-    check_unit_with_program_traced, checker_set_fingerprint, checkers_for_patterns, dedup_findings,
-    default_checkers, has_any_paired_dec, inc_sites, Checker, IncSite,
+    check_unit, check_unit_with_checkers, checker_set_fingerprint, checkers_for_patterns,
+    dedup_findings, default_checkers, has_any_paired_dec, inc_sites, Checker, IncSite,
 };
 pub use ctx::CheckCtx;
 pub use deviation::{ReturnErrorChecker, ReturnNullChecker};

@@ -49,15 +49,16 @@ use refminer_clex::{scan_defines, MacroDef};
 use refminer_cparse::{parse_str_limited, ParseLimits, TranslationUnit};
 use refminer_cpg::{Cfg, FunctionGraph, NodeFacts};
 use refminer_delta::DeltaEngine;
+use refminer_progdb::{fnv1a, mix};
 use refminer_rcapi::{discover_unit, merge_discoveries, ApiKb, DiscoverConfig, UnitDiscovery};
 use refminer_trace::TraceHandle;
 
 use crate::cache::{
-    check_config_fingerprint, content_hash, discovery_config_fingerprint, fnv1a, kb_fingerprint,
-    mix, parse_config_fingerprint, AuditCache, CacheStats, CachedError, CheckedUnit, ParsedUnit,
+    check_config_fingerprint, content_hash, discovery_config_fingerprint, kb_fingerprint,
+    parse_config_fingerprint, AuditCache, CacheStats, CachedError, CheckedUnit, ParsedUnit,
 };
 use crate::cancel::{CancelToken, Cancelled};
-use crate::parallel::run_indexed_traced;
+use crate::parallel::{effective_jobs, run_indexed};
 use crate::project::{Project, ScanErrorKind, SourceUnit};
 
 /// Resource caps applied to each translation unit.
@@ -327,18 +328,6 @@ impl AuditReport {
         }
         map
     }
-
-    /// Findings per (subsystem, module), derived from paths.
-    pub fn by_module(&self) -> BTreeMap<(String, String), Vec<&Finding>> {
-        let mut map: BTreeMap<(String, String), Vec<&Finding>> = BTreeMap::new();
-        for f in &self.findings {
-            let mut parts = f.file.split('/');
-            let subsystem = parts.next().unwrap_or("").to_string();
-            let module = parts.next().unwrap_or("").to_string();
-            map.entry((subsystem, module)).or_default().push(f);
-        }
-        map
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -585,8 +574,7 @@ fn check_one(
     let tu: &TranslationUnit = &tu;
     let start = Instant::now();
     let checked = fault_boundary(|| {
-        let (graphs, capped, feas) =
-            FunctionGraph::build_all_limited_timed(tu, limits.max_graph_nodes);
+        let (graphs, capped, feas) = FunctionGraph::build_all_limited(tu, limits.max_graph_nodes);
         let mut engines: Vec<Box<dyn AnalysisEngine>> = Vec::new();
         if engine_set.template {
             let checkers = match only_patterns {
@@ -715,7 +703,8 @@ pub fn audit_with_cache(
 /// `merge.progdb`, `check`, `report`), per-unit work opens
 /// `{stage}.unit` spans, the feasibility fixpoint's share of graph
 /// construction lands in `feasibility` spans, and cache traffic,
-/// scheduler steals, per-checker time and limit trips land in counters.
+/// per-stage worker counts, per-checker time and limit trips land in
+/// counters.
 pub fn audit_traced(
     project: &Project,
     config: &AuditConfig,
@@ -753,6 +742,7 @@ pub fn audit_cancellable(
     };
     let units = project.units();
     let n = units.len();
+    let workers = effective_jobs(config.jobs);
 
     // Scan-time problems (unreadable/oversize files never became
     // units; non-UTF-8 units are in the project, decoded lossily).
@@ -792,7 +782,7 @@ pub fn audit_cancellable(
     // twins). Hashing is pure per-unit work, so it fans out too.
     let parse_cfg = parse_config_fingerprint(config);
     let hash_span = trace.span("hash");
-    let unit_keys: Vec<u64> = run_indexed_traced(units, config.jobs, trace, "hash", |_, u| {
+    let unit_keys: Vec<u64> = run_indexed(units, workers, trace, "hash", |_, u| {
         if cancel.is_cancelled() {
             return 0;
         }
@@ -818,8 +808,8 @@ pub fn audit_cancellable(
     // ------------------------------------------------------------------
     let phase1_start = std::time::Instant::now();
 
-    // Parse: lex + parse + discovery, work-stealing
-    // across workers, each unit inside its own fault boundary.
+    // Parse: lex + parse + discovery, fanned out across workers, each
+    // unit inside its own fault boundary.
     // Disk-loaded entries (no retained AST) are full hits — later
     // stages rehydrate their own unit on demand.
     let parse_span = trace.span("parse");
@@ -832,7 +822,7 @@ pub fn audit_cancellable(
         }
     }
     let retain_asts = config.retain_asts;
-    let parsed_new = run_indexed_traced(&parse_todo, config.jobs, trace, "parse", |_, &i| {
+    let parsed_new = run_indexed(&parse_todo, workers, trace, "parse", |_, &i| {
         if cancel.is_cancelled() {
             // A placeholder: the check below bails before any is cached.
             return ParsedUnit::default();
@@ -847,7 +837,7 @@ pub fn audit_cancellable(
     // depends on the unit's text and the graph cap alone, so it rides
     // the parse entry and a parse hit is an export hit too.
     let export_span = trace.span("export");
-    let exported_new = run_indexed_traced(&parsed_new, config.jobs, trace, "export", |k, p| {
+    let exported_new = run_indexed(&parsed_new, workers, trace, "export", |k, p| {
         let unit = &units[parse_todo[k]];
         if cancel.is_cancelled() {
             return UnitExports::default();
@@ -947,7 +937,7 @@ pub fn audit_cancellable(
             None => check_todo.push((i, deps_fp)),
         }
     }
-    let checked_new = run_indexed_traced(&check_todo, config.jobs, trace, "check", |_, &(i, _)| {
+    let checked_new = run_indexed(&check_todo, workers, trace, "check", |_, &(i, _)| {
         if cancel.is_cancelled() {
             return CheckedUnit::default();
         }
@@ -1329,7 +1319,7 @@ int probe(void)
     /// Both sides for one unit: (facts-only, graph-derived).
     fn both_sides(path: &str, src: &str, max_nodes: usize) -> (UnitExports, UnitExports) {
         let tu = parse_str(path, src);
-        let (graphs, _capped) = FunctionGraph::build_all_limited(&tu, max_nodes);
+        let (graphs, _capped, _) = FunctionGraph::build_all_limited(&tu, max_nodes);
         let globals: Vec<String> = tu.globals().map(|g| g.name.clone()).collect();
         (
             unit_exports(path, &tu, max_nodes),

@@ -46,16 +46,16 @@
 //!
 //! The checksum is FNV-1a over the body. Loading validates the header
 //! and walks the section *framing* only — payload bytes are indexed,
-//! not decoded — so a warm start costs one file map (the container is
-//! memory-mapped read-only where the platform allows, falling back to
-//! an owned read) plus O(entries) pointer arithmetic, and each entry
-//! deserializes lazily on first use
-//! ([`Slot`]). Saving copies still-undecoded payloads byte-for-byte
-//! from the loaded buffer, so a warm save doesn't re-encode what it
-//! never touched. Saves publish atomically (temp file + rename) and a
-//! corrupt or version-mismatched file is quarantined, both through the
-//! `refminer-faultio` seams. This container is the cache's only
-//! format.
+//! not decoded — so a warm start costs one file read into an owned
+//! buffer plus O(entries) pointer arithmetic, and each entry
+//! deserializes lazily on first use ([`Slot`]). The cache owns the
+//! bytes it validated: rewriting or truncating the live file after the
+//! load changes nothing a later lookup decodes. Saving copies
+//! still-undecoded payloads byte-for-byte from that buffer, so a warm
+//! save doesn't re-encode what it never touched. Saves publish
+//! atomically (temp file + rename) and a corrupt or version-mismatched
+//! file is quarantined, both through the `refminer-faultio` seams. This
+//! container is the cache's only format.
 //!
 //! Keys fold in every configuration input that can change the stage's
 //! output — resource limits, the nesting threshold, the checker-set
@@ -71,9 +71,8 @@ use std::sync::Arc;
 use refminer_checkers::{checker_set_fingerprint, Finding};
 use refminer_clex::MacroDef;
 use refminer_cparse::TranslationUnit;
-use refminer_faultio::FileBytes;
 use refminer_json::{obj, ToJson, Value};
-use refminer_progdb::UnitExports;
+use refminer_progdb::{fnv1a, mix, UnitExports, FNV_OFFSET};
 use refminer_rcapi::{ApiKb, UnitDiscovery};
 
 use crate::audit::{AuditConfig, UnitErrorKind};
@@ -83,35 +82,11 @@ use crate::binfmt::{self, encode_checked, encode_kb, encode_parsed, put_u64};
 // Hashing and fingerprints.
 // ----------------------------------------------------------------------
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-/// FNV-1a over a byte slice. Fast, dependency-free, and stable across
-/// platforms and runs — exactly what cache keys need (`DefaultHasher`
-/// makes no cross-version guarantee).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Content hash of a source file's text.
+/// Content hash of a source file's text: FNV-1a, which is fast,
+/// dependency-free, and stable across platforms and runs — exactly what
+/// cache keys need (`DefaultHasher` makes no cross-version guarantee).
 pub fn content_hash(text: &str) -> u64 {
     fnv1a(text.as_bytes())
-}
-
-/// Folds another word into an FNV-1a state; used to mix content hashes
-/// with configuration fingerprints.
-pub fn mix(h: u64, word: u64) -> u64 {
-    let mut h = h;
-    for b in word.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 /// On-format version of the parse layer; bump when parse-time
@@ -325,7 +300,7 @@ enum Slot<T> {
 /// answer.
 fn slot_get<K: Eq + std::hash::Hash + Copy, T>(
     map: &mut HashMap<K, Slot<T>>,
-    raw: &Option<Arc<FileBytes>>,
+    raw: &Option<Arc<Vec<u8>>>,
     key: K,
     decode: impl Fn(&[u8]) -> Option<T>,
 ) -> Option<Arc<T>> {
@@ -393,10 +368,8 @@ pub struct AuditCache {
     parse: HashMap<u64, Slot<ParsedUnit>>,
     check: HashMap<(u64, u64), Slot<CheckedUnit>>,
     discovery: HashMap<u64, Slot<ApiKb>>,
-    /// The loaded cache file, backing every `Slot::Disk` byte range —
-    /// a read-only memory mapping when the platform supports it, an
-    /// owned buffer otherwise (and always for [`AuditCache::load_bytes`]).
-    raw: Option<Arc<FileBytes>>,
+    /// The loaded cache file, backing every `Slot::Disk` byte range.
+    raw: Option<Arc<Vec<u8>>>,
     /// Counters for the current (or most recent) audit run; reset by
     /// each `audit_with_cache` call.
     pub stats: CacheStats,
@@ -448,9 +421,9 @@ impl AuditCache {
         let dir = dir.into();
         let mut cache = AuditCache::new();
         let file = dir.join(CACHE_FILE);
-        match refminer_faultio::read_mapped(&file) {
+        match refminer_faultio::read(&file) {
             Ok(bytes) => {
-                if cache.load_filebytes(bytes) {
+                if cache.load_bytes(bytes) {
                     cache.load_outcome = CacheLoadOutcome::Loaded;
                 } else {
                     // Corrupt: quarantine it so the broken generation is
@@ -658,22 +631,12 @@ impl AuditCache {
         }
     }
 
-    /// Validates a cache file held in an owned buffer and indexes its
-    /// entries as lazy disk slots. The test-facing entry point for
-    /// corruption scenarios (bit flips, truncation); the production
-    /// load path is [`AuditCache::with_dir`], which memory-maps the
-    /// file and feeds it through [`AuditCache::load_filebytes`].
-    pub fn load_bytes(&mut self, bytes: Vec<u8>) -> bool {
-        self.load_filebytes(FileBytes::Owned(bytes))
-    }
-
     /// Validates a cache file and indexes its entries as lazy disk
     /// slots — payloads are *not* decoded here. Returns `false` (caller
     /// quarantines) on a bad magic, a version mismatch, a checksum
-    /// mismatch, or malformed framing. The backing bytes may be a
-    /// memory mapping; validation (including the full-body checksum)
-    /// runs against exactly the bytes later lookups will decode from.
-    fn load_filebytes(&mut self, bytes: FileBytes) -> bool {
+    /// mismatch, or malformed framing. [`AuditCache::with_dir`] loads
+    /// through this; tests feed it corrupted buffers directly.
+    pub fn load_bytes(&mut self, bytes: Vec<u8>) -> bool {
         if bytes.len() < HEADER_LEN || bytes[..8] != MAGIC {
             return false;
         }
@@ -791,12 +754,15 @@ mod tests {
         assert_ne!(kb_fingerprint(&a), kb_fingerprint(&ApiKb::new()));
     }
 
+    /// A named in-place edit of one field.
+    type FieldEdit<T> = (&'static str, fn(&mut T));
+
     #[test]
     fn kb_fingerprint_notices_every_field() {
         let base = ApiKb::builtin();
         let base_fp = kb_fingerprint(&base);
         let api = base.get("pm_runtime_get_sync").unwrap().clone();
-        let edits: [(&str, fn(&mut RcApi)); 7] = [
+        let edits: [FieldEdit<RcApi>; 7] = [
             ("class", |a| {
                 a.class = match a.class {
                     RcClass::Embedded => RcClass::General,
@@ -823,7 +789,7 @@ mod tests {
             assert_ne!(kb_fingerprint(&kb), base_fp, "RcApi::{field} ignored");
         }
         let sl = base.smartloop("for_each_child_of_node").unwrap().clone();
-        let loop_edits: [(&str, fn(&mut SmartLoop)); 3] = [
+        let loop_edits: [FieldEdit<SmartLoop>; 3] = [
             ("iter_arg", |l| l.iter_arg += 1),
             ("dec_name", |l| l.dec_name.push('x')),
             ("embedded_api", |l| {
@@ -1150,6 +1116,60 @@ mod tests {
             .filter(|n| n != CACHE_FILE)
             .collect();
         assert_eq!(debris, Vec::<String>::new());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Saves entries 1 (10 lines) and 2 (20 lines) under `dir` and
+    /// loads them back through [`AuditCache::with_dir`] without
+    /// decoding either; returns the loaded cache and the saved bytes.
+    fn saved_and_loaded(dir: &std::path::Path) -> (AuditCache, Vec<u8>) {
+        let mut cache = AuditCache::with_dir(dir);
+        cache.parse_put(1, parsed(10));
+        cache.parse_put(2, parsed(20));
+        cache.save().unwrap();
+        let saved = std::fs::read(dir.join(CACHE_FILE)).unwrap();
+        let loaded = AuditCache::with_dir(dir);
+        assert_eq!(loaded.load_outcome(), &CacheLoadOutcome::Loaded);
+        (loaded, saved)
+    }
+
+    #[test]
+    fn rewriting_the_live_file_in_place_cannot_change_a_validated_entry() {
+        use std::io::Write;
+        let dir = test_dir("rewrite_in_place");
+        let (mut loaded, saved) = saved_and_loaded(&dir);
+        // Another valid cache of exactly the same length, written over
+        // the live file without replacing it (as `cp` or a shell
+        // redirect would).
+        let mut other = AuditCache::new();
+        other.parse_put(1, parsed(77));
+        other.parse_put(2, parsed(20));
+        let other = other.to_bytes();
+        assert_eq!(other.len(), saved.len());
+        let mut f = std::fs::OpenOptions::new()
+            .write(true)
+            .open(dir.join(CACHE_FILE))
+            .unwrap();
+        f.write_all(&other).unwrap();
+        drop(f);
+        assert_eq!(loaded.parse_get(1).expect("validated entry").lines, 10);
+        assert_eq!(loaded.to_bytes(), saved);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn truncating_the_live_file_in_place_cannot_crash_a_loaded_cache() {
+        let dir = test_dir("truncate_in_place");
+        let (mut loaded, saved) = saved_and_loaded(&dir);
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(dir.join(CACHE_FILE))
+            .unwrap()
+            .set_len(0)
+            .unwrap();
+        assert_eq!(loaded.parse_get(1).expect("validated entry").lines, 10);
+        // Entry 2 is still undecoded, so this copies its loaded bytes.
+        assert_eq!(loaded.to_bytes(), saved);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -56,7 +56,7 @@ pub use fixcheck::{
 pub use history::{
     history_audit, render_history_lines, subsystem_of, HistoryRelease, HistoryReport, HistoryRow,
 };
-pub use parallel::{effective_jobs, run_indexed, run_indexed_timed, run_indexed_traced};
+pub use parallel::{effective_jobs, run_indexed};
 pub use project::{Project, ScanDiagnostic, ScanErrorKind, ScanOptions, SourceUnit};
 
 pub use refminer_checkers as checkers;

@@ -1,10 +1,10 @@
-//! A work-stealing scheduler for per-unit pipeline stages.
+//! The fan-out primitive for per-unit pipeline stages.
 //!
 //! The audit pipeline is embarrassingly parallel *between* units: each
 //! translation unit lexes, parses, graphs and checks independently, and
-//! only the cross-unit discovery pass needs everything at once. This
-//! module fans a per-unit stage across worker threads while keeping the
-//! result order — and therefore the final report — byte-identical to a
+//! only the cross-unit merges need everything at once. This module fans
+//! a per-unit stage across worker threads while keeping the result
+//! order — and therefore the final report — byte-identical to a
 //! sequential run.
 //!
 //! Design:
@@ -14,14 +14,12 @@
 //!   the units, the knowledge base and the limits without `Arc`-wrapping
 //!   any of them. Stages are long (whole files), so per-stage spawn cost
 //!   is noise.
-//! - **Work stealing.** Every worker owns a deque seeded with a
-//!   contiguous chunk of unit indices. An owner pops from the front; an
-//!   idle worker steals from the *back* of the longest victim queue.
-//!   Contiguous seeding keeps the common case (balanced trees) touching
-//!   each lock only at its own queue; stealing handles the pathological
-//!   tree where one directory holds all the big files.
+//! - **One shared cursor.** Workers claim the next unclaimed index from
+//!   a shared atomic counter. A worker stuck on one big file simply
+//!   claims nothing more while the others drain the rest, so the load
+//!   balances without per-worker queues.
 //! - **Deterministic merge.** Workers tag each result with its input
-//!   index; the caller sorts the combined output by index. Scheduling
+//!   index; the combined output is sorted by index once. Scheduling
 //!   order can vary freely between runs and job counts — result order
 //!   cannot.
 //!
@@ -30,8 +28,7 @@
 //! boundary *inside* the work closure, so a panicking unit degrades
 //! itself without taking down its worker thread.
 
-use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use refminer_trace::TraceHandle;
 
@@ -55,13 +52,15 @@ pub fn effective_jobs(requested: usize) -> usize {
     }
 }
 
-/// Runs `work` over every element of `items` across `jobs` workers,
+/// Runs `work` over every element of `items` on `workers` threads,
 /// returning the results in input order.
 ///
-/// `jobs` is resolved through [`effective_jobs`] and clamped to the
-/// item count. With one worker (or zero/one items) the work runs inline
-/// on the calling thread — no threads, no locks — which keeps `--jobs 1`
-/// an exact replica of the historical sequential pipeline.
+/// `workers` is taken literally, clamped only to the item count;
+/// resolve a `--jobs` request through [`effective_jobs`] first. With
+/// one worker (or zero/one items) the work runs inline on the calling
+/// thread, which keeps `--jobs 1` an exact replica of a sequential
+/// pipeline. With more, the worker count lands in a `{stage}.workers`
+/// trace counter (when `stage` is non-empty); the trace only observes.
 ///
 /// The work closure receives `(index, &item)` so it can key caches or
 /// diagnostics off the original position.
@@ -70,28 +69,15 @@ pub fn effective_jobs(requested: usize) -> usize {
 ///
 /// ```
 /// use refminer::parallel::run_indexed;
+/// use refminer::TraceHandle;
 ///
 /// let items = vec![3u32, 1, 4, 1, 5];
-/// let doubled = run_indexed(&items, 4, |_, x| x * 2);
+/// let doubled = run_indexed(&items, 4, &TraceHandle::disabled(), "", |_, x| x * 2);
 /// assert_eq!(doubled, vec![6, 2, 8, 2, 10]);
 /// ```
-pub fn run_indexed<T, R, F>(items: &[T], jobs: usize, work: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    run_indexed_traced(items, jobs, &TraceHandle::disabled(), "", work)
-}
-
-/// Like [`run_indexed`], reporting scheduler behavior to a trace
-/// recorder: the number of cross-worker steals lands in a
-/// `{stage}.steals` counter and the worker count in `{stage}.workers`.
-/// Scheduling is observation-only — a disabled handle, or any handle at
-/// all, never changes which items run where or the output order.
-pub fn run_indexed_traced<T, R, F>(
+pub fn run_indexed<T, R, F>(
     items: &[T],
-    jobs: usize,
+    workers: usize,
     trace: &TraceHandle,
     stage: &str,
     work: F,
@@ -101,137 +87,55 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    run_indexed_exact(items, effective_jobs(jobs), trace, stage, work)
-}
-
-/// The scheduler proper, taking the worker count literally (no
-/// `effective_jobs` resolution beyond the item-count clamp). Kept
-/// separate so scheduler tests can exercise real multi-worker runs
-/// even on single-core hosts, where [`effective_jobs`] would clamp
-/// them to an inline run.
-fn run_indexed_exact<T, R, F>(
-    items: &[T],
-    jobs: usize,
-    trace: &TraceHandle,
-    stage: &str,
-    work: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let jobs = jobs.min(items.len());
-    if jobs <= 1 {
+    let workers = workers.min(items.len());
+    if workers <= 1 {
         return items.iter().enumerate().map(|(i, t)| work(i, t)).collect();
     }
     if trace.is_enabled() && !stage.is_empty() {
-        trace.add(&format!("{stage}.workers"), jobs as u64);
+        trace.add(&format!("{stage}.workers"), workers as u64);
     }
 
-    // Seed each worker's deque with a contiguous slice of indices.
-    let queues: Vec<Mutex<VecDeque<usize>>> = split_chunks(items.len(), jobs)
-        .into_iter()
-        .map(Mutex::new)
-        .collect();
-
+    let cursor = AtomicUsize::new(0);
     let mut tagged: Vec<(usize, R)> = Vec::with_capacity(items.len());
-    let mut steals = 0u64;
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|me| {
-                let queues = &queues;
-                let work = &work;
-                s.spawn(move || {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
                     let mut out: Vec<(usize, R)> = Vec::new();
-                    let mut stolen = 0u64;
-                    while let Some((i, was_steal)) = next_index(queues, me) {
-                        stolen += u64::from(was_steal);
-                        out.push((i, work(i, &items[i])));
+                    loop {
+                        // Relaxed: the cursor publishes no other data;
+                        // results travel back through `join`.
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else {
+                            return out;
+                        };
+                        out.push((i, work(i, item)));
                     }
-                    (out, stolen)
                 })
             })
             .collect();
         for h in handles {
             // A panic here means one escaped the per-unit fault
             // boundary inside `work`; propagate it rather than lose it.
-            let (out, stolen) = h.join().expect("audit worker panicked");
-            tagged.extend(out);
-            steals += stolen;
+            tagged.extend(h.join().expect("audit worker panicked"));
         }
     });
-    if !stage.is_empty() {
-        trace.add(&format!("{stage}.steals"), steals);
-    }
 
-    tagged.sort_by_key(|(i, _)| *i);
+    tagged.sort_unstable_by_key(|(i, _)| *i);
     tagged.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Like [`run_indexed`], additionally returning the stage's wall-clock
-/// duration in seconds. The two-phase audit uses this to report how
-/// long each fan-out took without the timing influencing any cached or
-/// serialized result — findings stay byte-identical at any job count.
-pub fn run_indexed_timed<T, R, F>(items: &[T], jobs: usize, work: F) -> (Vec<R>, f64)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let start = std::time::Instant::now();
-    let out = run_indexed(items, jobs, work);
-    (out, start.elapsed().as_secs_f64())
-}
-
-/// Splits `0..n` into `jobs` contiguous chunks, front-loading the
-/// remainder so sizes differ by at most one.
-fn split_chunks(n: usize, jobs: usize) -> Vec<VecDeque<usize>> {
-    let base = n / jobs;
-    let extra = n % jobs;
-    let mut start = 0;
-    (0..jobs)
-        .map(|w| {
-            let len = base + usize::from(w < extra);
-            let q: VecDeque<usize> = (start..start + len).collect();
-            start += len;
-            q
-        })
-        .collect()
-}
-
-/// Pops the next index for worker `me`: own queue front first, then a
-/// steal from the back of the fullest victim. Returns `None` only when
-/// every queue is empty — no work is ever added after seeding, so an
-/// all-empty sweep is a stable termination condition. The flag reports
-/// whether the pop was a cross-worker steal, for the trace counters.
-fn next_index(queues: &[Mutex<VecDeque<usize>>], me: usize) -> Option<(usize, bool)> {
-    if let Some(i) = queues[me].lock().unwrap().pop_front() {
-        return Some((i, false));
-    }
-    // Pick the victim with the most remaining work to halve the largest
-    // backlog; sizes are read unlocked-then-relocked, so a stale read
-    // costs at most a failed steal and another sweep.
-    loop {
-        let victim = queues
-            .iter()
-            .enumerate()
-            .filter(|(w, _)| *w != me)
-            .map(|(w, q)| (w, q.lock().unwrap().len()))
-            .max_by_key(|(_, len)| *len)
-            .filter(|(_, len)| *len > 0)
-            .map(|(w, _)| w)?;
-        if let Some(i) = queues[victim].lock().unwrap().pop_back() {
-            return Some((i, true));
-        }
-        // Lost the race for that victim's last item; sweep again.
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    fn run<T: Sync, R: Send>(
+        items: &[T],
+        workers: usize,
+        work: impl Fn(usize, &T) -> R + Sync,
+    ) -> Vec<R> {
+        run_indexed(items, workers, &TraceHandle::disabled(), "", work)
+    }
 
     #[test]
     fn auto_jobs_is_positive() {
@@ -251,22 +155,19 @@ mod tests {
     #[test]
     fn empty_and_single_inputs() {
         let none: Vec<u32> = Vec::new();
-        assert!(run_indexed(&none, 8, |_, x| *x).is_empty());
-        assert_eq!(run_indexed(&[9u32], 8, |_, x| *x + 1), vec![10]);
+        assert!(run(&none, 8, |_, x| *x).is_empty());
+        assert_eq!(run(&[9u32], 8, |_, x| *x + 1), vec![10]);
     }
 
     #[test]
-    fn order_matches_sequential_at_any_job_count() {
+    fn order_matches_sequential_at_any_worker_count() {
+        // Worker counts are literal, so these are real threads even on
+        // a single-core host.
         let items: Vec<usize> = (0..101).collect();
-        let sequential = run_indexed(&items, 1, |i, x| i * 1000 + x);
-        for jobs in [2, 3, 8, 64] {
-            // Exercise the scheduler with literal worker counts so the
-            // determinism claim is tested with real threads regardless
-            // of how many cores the host has.
-            let parallel = run_indexed_exact(&items, jobs, &TraceHandle::disabled(), "", |i, x| {
-                i * 1000 + x
-            });
-            assert_eq!(parallel, sequential, "jobs={jobs}");
+        let sequential = run(&items, 1, |i, x| i * 1000 + x);
+        for workers in [2, 3, 8, 64] {
+            let parallel = run(&items, workers, |i, x| i * 1000 + x);
+            assert_eq!(parallel, sequential, "workers={workers}");
         }
     }
 
@@ -275,7 +176,7 @@ mod tests {
         let n = 257;
         let counters: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
         let items: Vec<usize> = (0..n).collect();
-        run_indexed_exact(&items, 8, &TraceHandle::disabled(), "", |i, _| {
+        run(&items, 8, |i, _| {
             counters[i].fetch_add(1, Ordering::SeqCst);
         });
         for (i, c) in counters.iter().enumerate() {
@@ -284,59 +185,31 @@ mod tests {
     }
 
     #[test]
-    fn stealing_drains_imbalanced_work() {
-        // One "heavy" item per chunk boundary would serialize without
-        // stealing; with it, the run completes and order still holds.
-        let items: Vec<u64> = (0..32).map(|i| if i == 0 { 400 } else { 1 }).collect();
-        let spins = run_indexed_exact(&items, 4, &TraceHandle::disabled(), "", |_, &ms| {
-            // Busy-wait proportional to the item weight.
-            let mut acc = 0u64;
-            for _ in 0..ms * 1000 {
-                acc = acc.wrapping_add(1);
+    fn one_heavy_item_does_not_hold_up_the_rest() {
+        // Item 0 blocks its worker until every other item has run; with
+        // a shared cursor the other worker drains them all meanwhile.
+        let items: Vec<usize> = (0..32).collect();
+        let done = AtomicUsize::new(0);
+        let out = run(&items, 2, |i, &x| {
+            if i == 0 {
+                while done.load(Ordering::SeqCst) < items.len() - 1 {
+                    std::thread::yield_now();
+                }
+            } else {
+                done.fetch_add(1, Ordering::SeqCst);
             }
-            acc
+            x * 2
         });
-        assert_eq!(spins.len(), items.len());
+        assert_eq!(out, run(&items, 1, |_, &x| x * 2));
     }
 
     #[test]
-    fn timed_variant_preserves_results_and_reports_elapsed() {
-        let items: Vec<usize> = (0..40).collect();
-        let (out, secs) = run_indexed_timed(&items, 4, |i, x| i + x);
-        assert_eq!(out, run_indexed(&items, 1, |i, x| i + x));
-        assert!(secs >= 0.0 && secs.is_finite());
-    }
-
-    #[test]
-    fn traced_variant_counts_steals_without_changing_results() {
-        // Item 0 is heavy enough that worker 0 is still busy on it while
-        // the other workers drain their own chunks and come stealing.
-        // Run the scheduler proper with a literal worker count so this
-        // exercises real threads even on a single-core host, where
-        // `effective_jobs` would clamp 4 down to an inline run.
-        let items: Vec<u64> = (0..32).map(|i| if i == 0 { 20_000 } else { 1 }).collect();
+    fn worker_count_is_traced_without_changing_results() {
+        let items: Vec<u64> = (0..32).collect();
         let trace = TraceHandle::recording();
-        let out = run_indexed_exact(&items, 4, &trace, "stage", |_, &ms| {
-            let mut acc = 0u64;
-            for _ in 0..ms * 1000 {
-                acc = acc.wrapping_add(1);
-            }
-            acc
-        });
-        assert_eq!(out, run_indexed(&items, 1, |_, &ms| ms * 1000));
+        let out = run_indexed(&items, 4, &trace, "stage", |i, &x| i as u64 + x);
+        assert_eq!(out, run(&items, 1, |i, &x| i as u64 + x));
         let log = trace.finish().unwrap();
         assert_eq!(log.counters.get("stage.workers"), Some(&4));
-        // The heavy item serializes worker 0; the others must steal.
-        assert!(log.counters.get("stage.steals").copied().unwrap_or(0) > 0);
-    }
-
-    #[test]
-    fn chunks_cover_range_without_overlap() {
-        for (n, jobs) in [(10, 3), (3, 8), (0, 2), (16, 4)] {
-            let chunks = split_chunks(n, jobs);
-            let mut all: Vec<usize> = chunks.iter().flatten().copied().collect();
-            all.sort_unstable();
-            assert_eq!(all, (0..n).collect::<Vec<_>>(), "n={n} jobs={jobs}");
-        }
     }
 }

@@ -17,6 +17,8 @@ use std::path::Path;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
 
+use refminer_progdb::{fold, mix, FNV_OFFSET};
+
 use super::engine::EngineHandle;
 
 /// Watcher tuning.
@@ -110,7 +112,7 @@ fn sleep_unless_stopped(handle: &EngineHandle, total: Duration) {
 /// entry's path, size and mtime, walked in sorted order through the
 /// fault-injection seam.
 fn fingerprint_tree(root: &Path) -> std::io::Result<u64> {
-    let mut h: u64 = 0xcbf29ce484222325;
+    let mut h = FNV_OFFSET;
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
         let mut entries: Vec<std::path::PathBuf> = Vec::new();
@@ -120,38 +122,22 @@ fn fingerprint_tree(root: &Path) -> std::io::Result<u64> {
         entries.sort();
         for path in entries {
             let meta = refminer_faultio::metadata(&path)?;
-            h = fnv_str(h, &path.to_string_lossy());
+            h = fold(h, path.to_string_lossy().as_bytes());
             if meta.is_dir() {
                 stack.push(path);
                 continue;
             }
-            h = fnv_u64(h, meta.len());
+            h = mix(h, meta.len());
             let mtime = meta
                 .modified()
                 .ok()
                 .and_then(|m| m.duration_since(SystemTime::UNIX_EPOCH).ok())
                 .map(|d| d.as_nanos() as u64)
                 .unwrap_or(0);
-            h = fnv_u64(h, mtime);
+            h = mix(h, mtime);
         }
     }
     Ok(h)
-}
-
-fn fnv_str(mut h: u64, s: &str) -> u64 {
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-fn fnv_u64(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -551,17 +551,6 @@ impl Expr {
             | ExprKind::Unknown => {}
         }
     }
-
-    /// Collects all direct calls `(name, args)` in this expression tree.
-    pub fn direct_calls(&self) -> Vec<(&str, &[Expr])> {
-        let mut out = Vec::new();
-        self.walk(&mut |e| {
-            if let Some(c) = e.as_direct_call() {
-                out.push(c);
-            }
-        });
-        out
-    }
 }
 
 impl Stmt {

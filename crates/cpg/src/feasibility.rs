@@ -589,11 +589,6 @@ impl FeasAnalysis {
         !self.infeasible.is_empty()
     }
 
-    /// Number of infeasible edges found.
-    pub fn infeasible_count(&self) -> usize {
-        self.infeasible.len()
-    }
-
     /// Classifies a query whose **unpruned** search already produced a
     /// witness: re-run it with infeasible edges vetoed and report
     /// whether the witness survives.

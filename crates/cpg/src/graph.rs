@@ -56,7 +56,8 @@ pub struct FunctionGraph {
 impl FunctionGraph {
     /// Builds the full graph for one function.
     pub fn build(func: &FunctionDef) -> FunctionGraph {
-        match Self::try_build(func, usize::MAX) {
+        let mut feas_time = Duration::ZERO;
+        match Self::try_build_timed(func, usize::MAX, &mut feas_time) {
             Ok(g) => g,
             Err(_) => unreachable!("usize::MAX cap cannot be exceeded"),
         }
@@ -65,17 +66,8 @@ impl FunctionGraph {
     /// Builds the graph only if the CFG stays under `max_nodes`; the
     /// per-node analyses (facts, origins, error classification) never
     /// run on an over-cap function, bounding both time and memory.
-    pub fn try_build(
-        func: &FunctionDef,
-        max_nodes: usize,
-    ) -> Result<FunctionGraph, GraphCapExceeded> {
-        let mut sink = Duration::ZERO;
-        Self::try_build_timed(func, max_nodes, &mut sink)
-    }
-
-    /// Like [`FunctionGraph::try_build`], additionally accumulating
-    /// the wall time the feasibility fixpoint took into `feas_time`.
-    /// Observability only: the timing never influences the graph.
+    /// Accumulates the wall time the feasibility fixpoint took into
+    /// `feas_time`; the timing never influences the graph.
     pub fn try_build_timed(
         func: &FunctionDef,
         max_nodes: usize,
@@ -105,19 +97,10 @@ impl FunctionGraph {
     }
 
     /// Builds graphs for every function under a node cap, collecting
-    /// the functions that were skipped instead of analyzing them.
-    pub fn build_all_limited(
-        tu: &TranslationUnit,
-        max_nodes: usize,
-    ) -> (Vec<FunctionGraph>, Vec<GraphCapExceeded>) {
-        let (graphs, skipped, _) = Self::build_all_limited_timed(tu, max_nodes);
-        (graphs, skipped)
-    }
-
-    /// Like [`FunctionGraph::build_all_limited`], additionally
-    /// returning the unit's total feasibility-fixpoint wall time, for
+    /// the functions that were skipped instead of analyzing them, and
+    /// returning the unit's total feasibility-fixpoint wall time for
     /// the audit pipeline's `feasibility` trace spans.
-    pub fn build_all_limited_timed(
+    pub fn build_all_limited(
         tu: &TranslationUnit,
         max_nodes: usize,
     ) -> (Vec<FunctionGraph>, Vec<GraphCapExceeded>, Duration) {
@@ -223,7 +206,7 @@ int f(void)
         }
         body.push_str("        return 0;\n}\nint small(void) { return 0; }\n");
         let tu = parse_str("t.c", &body);
-        let (graphs, skipped) = FunctionGraph::build_all_limited(&tu, 50);
+        let (graphs, skipped, _) = FunctionGraph::build_all_limited(&tu, 50);
         assert_eq!(graphs.len(), 1);
         assert_eq!(graphs[0].name(), "small");
         assert_eq!(skipped.len(), 1);

@@ -44,13 +44,15 @@ fn leave_one_out() {
     };
 
     let recall_with = |skip: Option<AntiPattern>| -> (usize, usize) {
-        let checkers: Vec<_> = default_checkers()
-            .into_iter()
-            .filter(|c| Some(c.pattern()) != skip)
-            .collect();
+        let checkers = || {
+            default_checkers()
+                .into_iter()
+                .filter(|c| Some(c.pattern()) != skip)
+                .collect()
+        };
         let mut findings = Vec::new();
         for (tu, gs) in tus.iter().zip(&graphs) {
-            findings.extend(check_unit_with_checkers(tu, &kb, gs, &checkers));
+            findings.extend(check_unit_with_checkers(tu, &kb, gs, checkers()));
         }
         let t = triage(&findings, &tree.manifest);
         let found = tree

@@ -460,11 +460,12 @@ impl ProgramDb {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The FNV-1a offset basis: the hash state before any byte is folded.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
+/// Folds `bytes` into the FNV-1a state `h`.
+pub fn fold(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(FNV_PRIME);
@@ -472,13 +473,17 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-fn mix(h: u64, word: u64) -> u64 {
-    let mut h = h;
-    for b in word.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+/// FNV-1a over a byte slice. Fast, dependency-free, and stable across
+/// platforms and runs, so every cache key and fingerprint in the
+/// workspace is built from it.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fold(FNV_OFFSET, bytes)
+}
+
+/// Folds a word into an FNV-1a state, little-endian byte by byte; used
+/// to mix content hashes with configuration fingerprints.
+pub fn mix(h: u64, word: u64) -> u64 {
+    fold(h, &word.to_le_bytes())
 }
 
 #[cfg(test)]

@@ -13,10 +13,10 @@
 //!   per-unit spans (`parse.unit`, `check.unit`, `feasibility`, …)
 //!   nest inside them and overlap freely across worker threads.
 //! - **Counters** — named monotonic totals (`cache.parse.hit`,
-//!   `limit.token_cap`, `checker.errorpath.us`, `check.steals`, …).
+//!   `limit.token_cap`, `checker.errorpath.us`, `check.workers`, …).
 //! - **Peak in-flight** — the high-water mark of concurrently open
-//!   *unit* spans, i.e. how many units the work-stealing scheduler
-//!   actually had in flight at once.
+//!   *unit* spans, i.e. how many units the parallel fan-out actually
+//!   had in flight at once.
 //!
 //! Determinism: recording is observation only. Nothing read from the
 //! recorder ever feeds back into analysis results or cache keys, so

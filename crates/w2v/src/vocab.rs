@@ -91,11 +91,6 @@ impl Vocab {
         self.words.is_empty()
     }
 
-    /// Total (filtered) token count.
-    pub fn total_tokens(&self) -> u64 {
-        self.total
-    }
-
     /// Builds the unigram^0.75 negative-sampling table of `size`
     /// entries (word2vec's standard construction).
     pub fn negative_table(&self, size: usize) -> Vec<usize> {
