@@ -48,11 +48,6 @@ impl TemplateEngine {
     pub fn new(checkers: Vec<Box<dyn Checker>>) -> TemplateEngine {
         TemplateEngine { checkers }
     }
-
-    /// The engine over the full default checker set.
-    pub fn default_set() -> TemplateEngine {
-        TemplateEngine::new(crate::checker::default_checkers())
-    }
 }
 
 impl AnalysisEngine for TemplateEngine {
@@ -231,7 +226,9 @@ int f(struct device *d)
         let kb = ApiKb::builtin();
         let globals: Vec<String> = tu.globals().map(|g| g.name.clone()).collect();
         let db = ProgramDb::local(&tu.path, &graphs, &globals, &kb);
-        let engines: Vec<Box<dyn AnalysisEngine>> = vec![Box::new(TemplateEngine::default_set())];
+        let engines: Vec<Box<dyn AnalysisEngine>> = vec![Box::new(TemplateEngine::new(
+            crate::checker::default_checkers(),
+        ))];
         let via_engines = run_engines_traced(
             &tu,
             &kb,

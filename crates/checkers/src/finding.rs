@@ -258,17 +258,6 @@ pub fn sort_findings_canonical(findings: &mut [Finding]) {
     findings.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
 }
 
-/// Merges per-unit finding lists into one canonical report.
-///
-/// Lists must be supplied in unit index order (the order the project
-/// scanner yields units); the result is identical to checking the
-/// units one after another sequentially.
-pub fn merge_unit_findings(per_unit: impl IntoIterator<Item = Vec<Finding>>) -> Vec<Finding> {
-    let mut all: Vec<Finding> = per_unit.into_iter().flatten().collect();
-    sort_findings_canonical(&mut all);
-    all
-}
-
 /// Report-layer dedup: collapses findings that name the same
 /// `(file, line, root-cause family)` site into one, with the checker
 /// lists combined.
@@ -389,14 +378,9 @@ mod tests {
         // plus same-line findings whose relative order must survive.
         let unit0 = vec![mk("b.c", 7, "first"), mk("b.c", 7, "second")];
         let unit1 = vec![mk("a.c", 3, "x")];
-        let merged = merge_unit_findings([unit0.clone(), unit1.clone()]);
+        let mut merged: Vec<Finding> = unit0.into_iter().chain(unit1).collect();
+        sort_findings_canonical(&mut merged);
 
-        let mut sequential: Vec<Finding> = Vec::new();
-        sequential.extend(unit0);
-        sequential.extend(unit1);
-        sort_findings_canonical(&mut sequential);
-
-        assert_eq!(merged, sequential);
         assert_eq!(merged[0].file, "a.c");
         assert_eq!(merged[1].api, "first");
         assert_eq!(merged[2].api, "second");

@@ -42,8 +42,8 @@ pub use ctx::CheckCtx;
 pub use deviation::{ReturnErrorChecker, ReturnNullChecker};
 pub use engine::{run_engines_traced, AnalysisEngine, EngineSet, TemplateEngine};
 pub use finding::{
-    merge_duplicate_findings, merge_unit_findings, sort_findings_canonical, AntiPattern,
-    Confidence, EngineId, Finding, Impact,
+    merge_duplicate_findings, sort_findings_canonical, AntiPattern, Confidence, EngineId, Finding,
+    Impact,
 };
 // The feasibility verdict each finding carries (see `refminer-cpg`).
 pub use hidden::{HiddenApiChecker, SmartLoopBreakChecker};

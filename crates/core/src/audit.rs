@@ -42,7 +42,7 @@ use std::time::Instant;
 
 use refminer_checkers::{
     checkers_for_patterns, default_checkers, merge_duplicate_findings, run_engines_traced,
-    sort_findings_canonical, AnalysisEngine, AntiPattern, EngineSet, Feasibility, Finding, Impact,
+    sort_findings_canonical, AnalysisEngine, AntiPattern, EngineSet, Feasibility, Finding,
     ProgramDb, TemplateEngine, UnitExports,
 };
 use refminer_clex::{scan_defines, MacroDef};
@@ -316,15 +316,6 @@ impl AuditReport {
         let mut map = BTreeMap::new();
         for f in &self.findings {
             *map.entry(f.pattern).or_insert(0) += 1;
-        }
-        map
-    }
-
-    /// Findings per impact.
-    pub fn by_impact(&self) -> BTreeMap<Impact, usize> {
-        let mut map = BTreeMap::new();
-        for f in &self.findings {
-            *map.entry(f.impact).or_insert(0) += 1;
         }
         map
     }
@@ -1179,9 +1170,7 @@ void widget_put(struct widget *w) { kref_put(&w->refs, widget_free); }
         let project = Project::from_tree(&tree);
         let report = audit(&project, &AuditConfig::default());
         let per_pattern: usize = report.by_pattern().values().sum();
-        let per_impact: usize = report.by_impact().values().sum();
         assert_eq!(per_pattern, report.findings.len());
-        assert_eq!(per_impact, report.findings.len());
     }
 
     #[test]

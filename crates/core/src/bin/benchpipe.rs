@@ -71,8 +71,8 @@ use refminer::corpus::{
 use refminer::parallel::effective_jobs;
 use refminer::{
     audit_traced, audit_with_cache, diff_delta, diff_projects, evaluate, evaluate_engines,
-    fixcheck_project, render_file_diff, AuditCache, AuditConfig, AuditReport, DiffOptions,
-    EngineSet, Project, TraceHandle, TraceSummary,
+    fixcheck_project, render_tree_diff, AuditCache, AuditConfig, AuditReport, CancelToken,
+    DiffOptions, EngineSet, Project, TraceHandle, TraceSummary,
 };
 use refminer_json::{obj, ToJson, Value};
 
@@ -496,20 +496,18 @@ fn main() -> ExitCode {
     let mut fixcheck_max_secs: f64 = 0.0;
     for i in 1..hist_projects.len() {
         let (a, b) = (&hist_projects[i - 1], &hist_projects[i]);
-        let prev: std::collections::HashMap<&str, &str> = a
-            .units()
-            .iter()
-            .map(|u| (u.path.as_str(), u.text.as_str()))
-            .collect();
-        let mut diff_text = String::new();
-        for u in b.units() {
-            let old = prev.get(u.path.as_str()).copied().unwrap_or("");
-            if let Some(d) = render_file_diff(&u.path, old, &u.text) {
-                diff_text.push_str(&d);
-            }
-        }
+        let diff_text = render_tree_diff(a, b);
         let t = Instant::now();
-        let fr = match fixcheck_project(b, &diff_text, &cfg_at(jobs), &mut fixcheck_cache) {
+        let fr = match fixcheck_project(
+            b,
+            &diff_text,
+            &cfg_at(jobs),
+            &mut fixcheck_cache,
+            &TraceHandle::disabled(),
+            &CancelToken::never(),
+        )
+        .expect("a never-cancelled audit cannot be cancelled")
+        {
             Ok(fr) => fr,
             Err(e) => {
                 eprintln!("benchpipe: fixcheck replay of {} failed: {e}", hist[i].id);
@@ -518,17 +516,17 @@ fn main() -> ExitCode {
         };
         let fixcheck_secs = t.elapsed().as_secs_f64();
         let partial = !hist[i].fixed.is_empty();
-        if partial && (fr.fixed.is_empty() || fr.incomplete_total() == 0) {
+        if partial && (fr.delta.fixed.is_empty() || fr.delta.left_behind_total() == 0) {
             eprintln!(
                 "benchpipe: fixcheck missed the incomplete fix in {} \
                  ({} fixed, {} left unfixed)",
                 hist[i].id,
-                fr.fixed.len(),
-                fr.incomplete_total(),
+                fr.delta.fixed.len(),
+                fr.delta.left_behind_total(),
             );
             fixcheck_correct = false;
         }
-        if !partial && !fr.is_clean() {
+        if !partial && !fr.delta.is_clean() {
             eprintln!(
                 "benchpipe: fixcheck flagged the neutral commit {}",
                 hist[i].id
@@ -540,9 +538,9 @@ fn main() -> ExitCode {
             ("id", hist[i].id.as_str().into()),
             ("fixcheck_secs", fixcheck_secs.to_json()),
             ("files_changed", fr.files_changed.to_json()),
-            ("fixed", fr.fixed.len().to_json()),
-            ("incomplete", fr.incomplete_total().to_json()),
-            ("clean", fr.is_clean().to_json()),
+            ("fixed", fr.delta.fixed.len().to_json()),
+            ("incomplete", fr.delta.left_behind_total().to_json()),
+            ("clean", fr.delta.is_clean().to_json()),
         ]));
     }
     // Same honesty rule as the diff gate: a fixcheck audits *two* trees

@@ -850,7 +850,7 @@ fn sweep_main() -> ExitCode {
     let Some(seed) = report
         .findings
         .iter()
-        .find(|f| f.line == seed_line && (f.file == seed_file || f.file.ends_with(&seed_file)))
+        .find(|f| f.line == seed_line && refminer::fixdiff::paths_match(&seed_file, &f.file))
     else {
         eprintln!("refminer sweep: no finding at {seed_file}:{seed_line}");
         return ExitCode::from(2);
@@ -993,19 +993,19 @@ fn fixcheck_main() -> ExitCode {
                 intent.acquires.join(", ")
             );
         }
-        for f in &r.fixed {
+        for f in &r.delta.fixed {
             println!("- fixed {f}");
         }
-        for f in &r.introduced {
+        for f in &r.delta.introduced {
             println!("+ introduced {f}");
         }
-        for inc in &r.incomplete {
-            for m in &inc.matches {
+        for lb in &r.delta.left_behind {
+            for m in &lb.matches {
                 println!(
                     "! left unfixed ({}% match of {}:{}) [{}] {}",
                     m.score,
-                    inc.origin.file,
-                    inc.origin.line,
+                    lb.origin.file,
+                    lb.origin.line,
                     m.finding.confidence().name(),
                     m.finding
                 );
@@ -1014,12 +1014,12 @@ fn fixcheck_main() -> ExitCode {
         eprintln!(
             "{} changed file(s): {} fixed, {} introduced, {} left unfixed",
             r.files_changed,
-            r.fixed.len(),
-            r.introduced.len(),
-            r.incomplete_total()
+            r.delta.fixed.len(),
+            r.delta.introduced.len(),
+            r.delta.left_behind_total()
         );
     }
-    if r.is_clean() {
+    if r.delta.is_clean() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)

@@ -1,38 +1,41 @@
 //! `refminer fixcheck`: audit both sides of a fix and report what the
 //! fix left behind.
 //!
-//! The diff-side mechanics (parsing, reverse-apply, intent inference,
-//! the left-behind sweep) live in `refminer-fixcheck`; this module
-//! owns the tree-side orchestration:
+//! The diff-side mechanics (parsing, reverse-apply, intent inference)
+//! live in `refminer-fixcheck`; this module owns the tree side, which
+//! is the `refminer diff` pipeline run over a reconstructed tree:
 //!
 //! 1. reverse-apply the fix diff onto the *post-fix* tree to
 //!    reconstruct the pre-fix sources in memory;
 //! 2. audit both trees through one shared [`AuditCache`] (only the
 //!    touched units differ, so the second audit re-parses just the
-//!    delta);
-//! 3. `diff_findings(pre, post)` — the `fixed` bucket is exactly the
-//!    set of findings the fix resolved, the `introduced` bucket is
-//!    what the fix itself broke;
-//! 4. attribute each fixed finding to a diff intent (the acquire or
-//!    release API named on a changed line) and sweep the post-fix
-//!    findings for sibling sites the fix did not touch.
+//!    delta), under the caller's trace and cancel token;
+//! 3. [`diff_delta`] over the two finding lists: `fixed` is exactly
+//!    the set of findings the fix resolved, `introduced` is what the
+//!    fix itself broke, and `left_behind` sweeps the post-fix findings
+//!    for clone sites of each fixed finding that the fix did not touch;
+//! 4. at render time, attribute each fixed finding to a diff intent
+//!    (the acquire or release API named on a changed line).
 //!
 //! A neutral diff (refactor, comment churn) reverse-applies to a tree
 //! with identical findings, so `fixed` is empty and the report is
 //! clean by construction — intent inference annotates, it never
 //! filters recall.
 
+use std::collections::HashMap;
 use std::path::Path;
 
 use refminer_checkers::Finding;
 use refminer_fixcheck::{
-    check_incomplete, infer_intents, parse_diff, paths_match, FixIntent, IncompleteFix,
+    infer_intents, intent_covers, parse_diff, paths_match, render_file_diff, FixDiff, FixIntent,
 };
 use refminer_json::{obj, ToJson, Value};
+use refminer_trace::TraceHandle;
 
-use crate::audit::{audit_with_cache, AuditConfig, AuditReport};
+use crate::audit::{audit_cancellable, AuditConfig, AuditReport};
 use crate::cache::AuditCache;
-use crate::diff::diff_findings;
+use crate::cancel::{CancelToken, Cancelled};
+use crate::diff::{diff_delta, DiffDelta};
 use crate::project::Project;
 use crate::serve::render_finding_line;
 
@@ -41,12 +44,10 @@ use crate::serve::render_finding_line;
 pub struct FixcheckReport {
     /// The acquire/release APIs the diff's changed lines name.
     pub intents: Vec<FixIntent>,
-    /// Findings present before the fix and gone after it.
-    pub fixed: Vec<Finding>,
-    /// Findings the fix itself introduced.
-    pub introduced: Vec<Finding>,
-    /// Per fixed finding: the clone sites still buggy after the fix.
-    pub incomplete: Vec<IncompleteFix>,
+    /// Pre-fix → post-fix findings delta, with the left-behind sweep:
+    /// `fixed` is what the fix resolved, `introduced` what it broke,
+    /// `left_behind` the clone sites it did not touch.
+    pub delta: DiffDelta,
     /// Source files the diff touched in the tree.
     pub files_changed: usize,
     /// The post-fix audit (findings, KB, cache stats).
@@ -54,15 +55,13 @@ pub struct FixcheckReport {
 }
 
 impl FixcheckReport {
-    /// Total left-behind clone matches across all fixed findings.
-    pub fn incomplete_total(&self) -> usize {
-        self.incomplete.iter().map(|i| i.matches.len()).sum()
-    }
-
-    /// A fix is complete when it left nothing behind and broke
-    /// nothing: no incomplete matches, no introduced findings.
-    pub fn is_clean(&self) -> bool {
-        self.incomplete_total() == 0 && self.introduced.is_empty()
+    /// The diff API a fixed finding is attributed to: the first intent
+    /// that covers it under the post-fix KB.
+    fn intent_of(&self, origin: &Finding) -> Option<&str> {
+        self.intents
+            .iter()
+            .find(|i| intent_covers(i, origin, &self.report.kb))
+            .map(|i| i.api.as_str())
     }
 }
 
@@ -81,18 +80,10 @@ fn is_source_path(path: &str) -> bool {
     path.ends_with(".c") || path.ends_with(".h")
 }
 
-/// Runs the full fixcheck pipeline against an in-memory post-fix tree.
-///
-/// Errors (all of which the CLI maps to exit 2) when the diff is not
-/// unified-diff text, names a source file the tree does not contain,
-/// does not apply to the tree's contents, or touches no source file
-/// at all.
-pub fn fixcheck_project(
-    post: &Project,
-    diff_text: &str,
-    config: &AuditConfig,
-    cache: &mut AuditCache,
-) -> Result<FixcheckReport, String> {
+/// Parses `diff_text` and reconstructs the pre-fix tree by
+/// reverse-applying it onto `post`, returning the diff, the tree and
+/// the number of source files the diff touched.
+fn pre_fix_tree(post: &Project, diff_text: &str) -> Result<(FixDiff, Project, usize), String> {
     let diff = parse_diff(diff_text)?;
     let mut pre_sources: Vec<(String, String)> = post
         .units()
@@ -139,39 +130,51 @@ pub fn fixcheck_project(
     if files_changed == 0 {
         return Err("diff does not touch any C source file in the tree".to_string());
     }
-    let pre_project = Project::from_sources(pre_sources);
-    let report_pre = audit_with_cache(&pre_project, config, cache);
-    let report_post = audit_with_cache(post, config, cache);
-    let (introduced, fixed, _moved) = diff_findings(&report_pre.findings, &report_post.findings);
-    let intents = infer_intents(&diff, &report_post.kb);
-    fn source_in(project: &Project) -> impl FnMut(&str) -> Option<String> + '_ {
-        move |path: &str| {
-            project
-                .units()
-                .iter()
-                .find(|u| u.path == path)
-                .map(|u| u.text.clone())
-        }
-    }
-    let incomplete = check_incomplete(
-        &fixed,
-        &intents,
-        &report_post.findings,
-        &report_post.kb,
-        source_in(&pre_project),
-        source_in(post),
-    );
-    Ok(FixcheckReport {
-        intents,
-        fixed,
-        introduced,
-        incomplete,
-        files_changed,
-        report: report_post,
-    })
+    Ok((diff, Project::from_sources(pre_sources), files_changed))
 }
 
-/// Scans `root` (the post-fix tree) and runs [`fixcheck_project`].
+/// Runs the full fixcheck pipeline against an in-memory post-fix tree.
+///
+/// Both audits run under `trace` and `cancel`, like any other audit;
+/// a tripped token returns `Err(Cancelled)` and leaves the cache as
+/// consistent as [`audit_cancellable`] does. The inner error (which
+/// the CLI maps to exit 2 and the daemon to `bad_request`) is a diff
+/// the tree rejects: one that is not unified-diff text, names a source
+/// file the tree does not contain, does not apply to the tree's
+/// contents, or touches no source file at all.
+pub fn fixcheck_project(
+    post: &Project,
+    diff_text: &str,
+    config: &AuditConfig,
+    cache: &mut AuditCache,
+    trace: &TraceHandle,
+    cancel: &CancelToken,
+) -> Result<Result<FixcheckReport, String>, Cancelled> {
+    let (diff, pre, files_changed) = match pre_fix_tree(post, diff_text) {
+        Ok(t) => t,
+        Err(e) => return Ok(Err(e)),
+    };
+    let report_pre = audit_cancellable(&pre, config, cache, trace, cancel)?;
+    let report_post = audit_cancellable(post, config, cache, trace, cancel)?;
+    let delta = diff_delta(
+        &report_pre.findings,
+        &report_post.findings,
+        Some(&pre),
+        post,
+        &report_post.kb,
+        true,
+    );
+    Ok(Ok(FixcheckReport {
+        intents: infer_intents(&diff, &report_post.kb),
+        delta,
+        files_changed,
+        report: report_post,
+    }))
+}
+
+/// Scans `root` (the post-fix tree) and runs [`fixcheck_project`]
+/// untraced and uncancellable — the `refminer fixcheck` CLI entry
+/// point.
 pub fn fixcheck_audit(
     root: &Path,
     diff_text: &str,
@@ -179,7 +182,35 @@ pub fn fixcheck_audit(
     cache: &mut AuditCache,
 ) -> Result<FixcheckReport, String> {
     let post = Project::scan(root).map_err(|e| format!("cannot scan {}: {e}", root.display()))?;
-    fixcheck_project(&post, diff_text, config, cache)
+    fixcheck_project(
+        &post,
+        diff_text,
+        config,
+        cache,
+        &TraceHandle::disabled(),
+        &CancelToken::never(),
+    )
+    .expect("a never-cancelled audit cannot be cancelled")
+}
+
+/// Renders the unified diff that turns `pre` into `post`: one
+/// single-hunk [`render_file_diff`] per changed unit, in `post`'s unit
+/// order. A unit missing from `pre` diffs against empty text; a unit
+/// missing from `post` is not rendered.
+pub fn render_tree_diff(pre: &Project, post: &Project) -> String {
+    let old: HashMap<&str, &str> = pre
+        .units()
+        .iter()
+        .map(|u| (u.path.as_str(), u.text.as_str()))
+        .collect();
+    let mut out = String::new();
+    for u in post.units() {
+        let prev = old.get(u.path.as_str()).copied().unwrap_or("");
+        if let Some(d) = render_file_diff(&u.path, prev, &u.text) {
+            out.push_str(&d);
+        }
+    }
+    out
 }
 
 /// Renders a fixcheck report as the JSONL lines `refminer fixcheck
@@ -199,7 +230,7 @@ pub fn render_fixcheck_lines(r: &FixcheckReport) -> Vec<String> {
         }
         lines.push(v.to_string());
     }
-    for f in &r.fixed {
+    for f in &r.delta.fixed {
         lines.push(
             obj([
                 ("fixcheck", Value::Str("fixed".to_string())),
@@ -208,7 +239,7 @@ pub fn render_fixcheck_lines(r: &FixcheckReport) -> Vec<String> {
             .to_string(),
         );
     }
-    for f in &r.introduced {
+    for f in &r.delta.introduced {
         lines.push(
             obj([
                 ("fixcheck", Value::Str("introduced".to_string())),
@@ -217,27 +248,22 @@ pub fn render_fixcheck_lines(r: &FixcheckReport) -> Vec<String> {
             .to_string(),
         );
     }
-    for inc in &r.incomplete {
-        for m in &inc.matches {
+    for lb in &r.delta.left_behind {
+        let intent = r.intent_of(&lb.origin);
+        for m in &lb.matches {
             lines.push(
                 obj([
                     ("fixcheck", Value::Str("incomplete".to_string())),
                     (
                         "origin",
                         obj([
-                            ("file", inc.origin.file.to_json()),
-                            ("function", inc.origin.function.to_json()),
-                            ("line", inc.origin.line.to_json()),
-                            ("api", inc.origin.api.to_json()),
+                            ("file", lb.origin.file.to_json()),
+                            ("function", lb.origin.function.to_json()),
+                            ("line", lb.origin.line.to_json()),
+                            ("api", lb.origin.api.to_json()),
                         ]),
                     ),
-                    (
-                        "intent",
-                        match &inc.intent {
-                            Some(api) => Value::Str(api.clone()),
-                            None => Value::Null,
-                        },
-                    ),
+                    ("intent", intent.map_or(Value::Null, Value::from)),
                     ("score", m.score.to_json()),
                     (
                         "confidence",
@@ -263,10 +289,10 @@ pub fn render_fixcheck_lines(r: &FixcheckReport) -> Vec<String> {
         obj([
             ("fixcheck", Value::Str("summary".to_string())),
             ("files_changed", r.files_changed.to_json()),
-            ("fixed", r.fixed.len().to_json()),
-            ("introduced", r.introduced.len().to_json()),
-            ("incomplete", r.incomplete_total().to_json()),
-            ("clean", r.is_clean().into()),
+            ("fixed", r.delta.fixed.len().to_json()),
+            ("introduced", r.delta.introduced.len().to_json()),
+            ("incomplete", r.delta.left_behind_total().to_json()),
+            ("clean", r.delta.is_clean().into()),
         ])
         .to_string(),
     );
@@ -379,20 +405,16 @@ pub fn evaluate_fixcheck(root: &Path, config: &AuditConfig) -> Result<FixcheckEv
             prev = Some(post);
             continue; // the base import has no diff to check
         };
-        let mut diff_text = String::new();
-        for unit in post.units() {
-            let old = pre
-                .units()
-                .iter()
-                .find(|u| u.path == unit.path)
-                .map(|u| u.text.as_str())
-                .unwrap_or("");
-            if let Some(d) = refminer_fixcheck::render_file_diff(&unit.path, old, &unit.text) {
-                diff_text.push_str(&d);
-            }
-        }
-        let r = fixcheck_project(&post, &diff_text, config, &mut cache)
-            .map_err(|e| format!("fixcheck failed on {id}: {e}"))?;
+        let r = fixcheck_project(
+            &post,
+            &render_tree_diff(&pre, &post),
+            config,
+            &mut cache,
+            &TraceHandle::disabled(),
+            &CancelToken::never(),
+        )
+        .expect("a never-cancelled audit cannot be cancelled")
+        .map_err(|e| format!("fixcheck failed on {id}: {e}"))?;
         let manifest_text = std::fs::read_to_string(root.join(dir).join("manifest.json"))
             .map_err(|e| format!("cannot read manifest for {id}: {e}"))?;
         let manifest_json = Value::parse(&manifest_text)
@@ -418,7 +440,8 @@ pub fn evaluate_fixcheck(root: &Path, config: &AuditConfig) -> Result<FixcheckEv
             None => Vec::new(),
         };
         let reported: Vec<(&str, &str)> = r
-            .incomplete
+            .delta
+            .left_behind
             .iter()
             .flat_map(|i| &i.matches)
             .map(|m| (m.finding.file.as_str(), m.finding.function.as_str()))
@@ -460,7 +483,20 @@ pub fn evaluate_fixcheck(root: &Path, config: &AuditConfig) -> Result<FixcheckEv
 #[cfg(test)]
 mod tests {
     use super::*;
-    use refminer_fixcheck::render_file_diff;
+    use crate::cancel::CancelReason;
+
+    /// Runs [`fixcheck_project`] untraced and uncancellable.
+    fn run(post: &Project, diff: &str, cache: &mut AuditCache) -> Result<FixcheckReport, String> {
+        fixcheck_project(
+            post,
+            diff,
+            &AuditConfig::default(),
+            cache,
+            &TraceHandle::disabled(),
+            &CancelToken::never(),
+        )
+        .expect("never cancelled")
+    }
 
     // A P4 two-site shape: both functions forget `of_node_put` on the
     // error path; the "fix" patches only `alpha_probe`.
@@ -499,17 +535,17 @@ mod tests {
         let diff = render_file_diff(&path, &pre_text, &post_text).expect("texts differ");
         let post = Project::from_sources(vec![(path.clone(), post_text)]);
         let mut cache = AuditCache::new();
-        let r = fixcheck_project(&post, &diff, &AuditConfig::default(), &mut cache)
-            .expect("fixcheck runs");
+        let r = run(&post, &diff, &mut cache).expect("fixcheck runs");
         assert_eq!(r.files_changed, 1);
         assert!(
-            r.fixed.iter().any(|f| f.function == "alpha_probe"),
+            r.delta.fixed.iter().any(|f| f.function == "alpha_probe"),
             "the patched error path should count as fixed; fixed = {:?}",
-            r.fixed
+            r.delta.fixed
         );
-        assert!(!r.is_clean());
+        assert!(!r.delta.is_clean());
         assert!(
-            r.incomplete
+            r.delta
+                .left_behind
                 .iter()
                 .flat_map(|i| &i.matches)
                 .any(|m| m.finding.function == "beta_probe"),
@@ -518,7 +554,9 @@ mod tests {
         let intent = r.intents.iter().find(|i| i.api == "of_node_put");
         assert!(intent.is_some(), "the added release names the intent");
         let lines = render_fixcheck_lines(&r);
-        assert!(lines.iter().any(|l| l.contains("\"incomplete\"")));
+        assert!(lines
+            .iter()
+            .any(|l| l.contains("\"incomplete\"") && l.contains("\"intent\":\"of_node_put\"")));
         assert!(lines.last().unwrap().contains("\"clean\":false"));
     }
 
@@ -532,10 +570,9 @@ mod tests {
         let diff = render_file_diff(&path, &pre_text, &post_text).expect("texts differ");
         let post = Project::from_sources(vec![(path, post_text)]);
         let mut cache = AuditCache::new();
-        let r = fixcheck_project(&post, &diff, &AuditConfig::default(), &mut cache)
-            .expect("fixcheck runs");
-        assert!(r.fixed.is_empty());
-        assert!(r.is_clean());
+        let r = run(&post, &diff, &mut cache).expect("fixcheck runs");
+        assert!(r.delta.fixed.is_empty());
+        assert!(r.delta.is_clean());
         let lines = render_fixcheck_lines(&r);
         assert!(lines.last().unwrap().contains("\"clean\":true"));
     }
@@ -544,13 +581,63 @@ mod tests {
     fn errors_are_diagnostic_not_panics() {
         let post = Project::from_sources(vec![("a.c".to_string(), "int x;\n".to_string())]);
         let mut cache = AuditCache::new();
-        let cfg = AuditConfig::default();
-        assert!(fixcheck_project(&post, "not a diff", &cfg, &mut cache).is_err());
+        assert!(run(&post, "not a diff", &mut cache).is_err());
         let wrong_file = "--- a/missing.c\n+++ b/missing.c\n@@ -1,1 +1,1 @@\n-old\n+new\n";
-        let err = fixcheck_project(&post, wrong_file, &cfg, &mut cache).unwrap_err();
+        let err = run(&post, wrong_file, &mut cache).unwrap_err();
         assert!(err.contains("missing.c"), "got: {err}");
         let stale = "--- a/a.c\n+++ b/a.c\n@@ -1,1 +1,1 @@\n-int y;\n+int z;\n";
-        let err = fixcheck_project(&post, stale, &cfg, &mut cache).unwrap_err();
+        let err = run(&post, stale, &mut cache).unwrap_err();
         assert!(err.contains("does not apply"), "got: {err}");
+    }
+
+    #[test]
+    fn cancelled_token_stops_before_any_audit_work() {
+        let (path, pre_text) = buggy_unit();
+        let post_text = fixed_alpha(&pre_text);
+        let diff = render_file_diff(&path, &pre_text, &post_text).expect("texts differ");
+        let post = Project::from_sources(vec![(path, post_text)]);
+        let mut cache = AuditCache::new();
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let out = fixcheck_project(
+            &post,
+            &diff,
+            &AuditConfig::default(),
+            &mut cache,
+            &TraceHandle::disabled(),
+            &cancel,
+        );
+        assert!(
+            matches!(
+                out,
+                Err(Cancelled {
+                    reason: CancelReason::Explicit
+                })
+            ),
+            "a cancelled token must surface as Cancelled"
+        );
+        assert_eq!(
+            cache.len(),
+            (0, 0, 0),
+            "a cancelled fixcheck caches nothing"
+        );
+    }
+
+    #[test]
+    fn tree_diff_renders_changed_and_added_units_in_post_order() {
+        let pre = Project::from_sources(vec![
+            ("a.c".to_string(), "int a;\n".to_string()),
+            ("b.c".to_string(), "int b;\n".to_string()),
+        ]);
+        let post = Project::from_sources(vec![
+            ("a.c".to_string(), "int a;\n".to_string()),
+            ("b.c".to_string(), "int b2;\n".to_string()),
+            ("c.c".to_string(), "int c;\n".to_string()),
+        ]);
+        let text = render_tree_diff(&pre, &post);
+        let expected = render_file_diff("b.c", "int b;\n", "int b2;\n").unwrap()
+            + &render_file_diff("c.c", "", "int c;\n").unwrap();
+        assert_eq!(text, expected);
+        assert!(render_tree_diff(&post, &post).is_empty());
     }
 }

@@ -50,8 +50,8 @@ pub use eval::{
     EvalReport, EvalRow, SweepCounts, SweepEvalReport, SweepGroupRow,
 };
 pub use fixcheck::{
-    evaluate_fixcheck, fixcheck_audit, fixcheck_project, render_fixcheck_lines, FixcheckEvalReport,
-    FixcheckEvalRow, FixcheckReport,
+    evaluate_fixcheck, fixcheck_audit, fixcheck_project, render_fixcheck_lines, render_tree_diff,
+    FixcheckEvalReport, FixcheckEvalRow, FixcheckReport,
 };
 pub use history::{
     history_audit, render_history_lines, subsystem_of, HistoryRelease, HistoryReport, HistoryRow,
@@ -69,9 +69,7 @@ pub use refminer_dataset as dataset;
 pub use refminer_delta as delta;
 pub use refminer_delta::DeltaEngine;
 pub use refminer_fixcheck as fixdiff;
-pub use refminer_fixcheck::{
-    infer_intents, parse_diff, render_file_diff, FixDiff, FixIntent, IncompleteFix,
-};
+pub use refminer_fixcheck::{infer_intents, parse_diff, render_file_diff, FixDiff, FixIntent};
 pub use refminer_progdb as progdb;
 pub use refminer_progdb::ProgramDb;
 pub use refminer_rcapi as rcapi;

@@ -39,7 +39,7 @@ use super::protocol::{ErrorKind, Method, QueryFilter, Request, Response, DEFAULT
 use super::render::{render_diagnostics_line, render_finding_line, render_unit_diagnostic};
 use crate::audit::{audit_cancellable, AuditConfig, AuditReport};
 use crate::cache::{AuditCache, CacheLoadOutcome};
-use crate::cancel::{CancelReason, CancelToken};
+use crate::cancel::{CancelReason, CancelToken, Cancelled};
 use crate::diff::{diff_delta, render_diff_lines};
 use crate::fixcheck::{fixcheck_project, render_fixcheck_lines};
 use crate::project::{Project, ScanOptions};
@@ -143,36 +143,9 @@ enum JobKind {
 /// How a job ended.
 #[derive(Debug)]
 enum JobOutcome {
-    Done {
-        revision: u64,
-        findings: usize,
-        files: usize,
-        functions: usize,
-        /// Files named by a reaudit that no longer exist: diagnosed,
-        /// not retried (deletion is a fact, not a transient fault).
-        removed: Vec<UnitDiagnostic>,
-    },
-    /// An `auditdiff` job: the delta against the previous snapshot,
-    /// prerendered as the same JSONL lines `refminer diff --json`
-    /// prints.
-    DiffDone {
-        revision: u64,
-        introduced: usize,
-        fixed: usize,
-        moved: usize,
-        left_behind: usize,
-        lines: Vec<String>,
-    },
-    /// A `fixcheck` job: the incomplete-fix report, prerendered as the
-    /// same JSONL lines `refminer fixcheck --json` prints.
-    FixcheckDone {
-        revision: u64,
-        fixed: usize,
-        introduced: usize,
-        incomplete: usize,
-        clean: bool,
-        lines: Vec<String>,
-    },
+    /// The job's audit was published; carries the response's `result`
+    /// object, prerendered by the kind of job that ran.
+    Done(Value),
     Cancelled(CancelReason),
     /// The request itself was invalid (e.g. a malformed or
     /// inapplicable fix diff) — a client error, not an engine fault.
@@ -449,69 +422,7 @@ impl EngineHandle {
 
     fn render_outcome(&self, id: u64, outcome: JobOutcome) -> Response {
         match outcome {
-            JobOutcome::Done {
-                revision,
-                findings,
-                files,
-                functions,
-                removed,
-            } => {
-                let mut members = vec![
-                    ("revision".to_string(), revision.to_json()),
-                    ("findings".to_string(), findings.to_json()),
-                    ("files".to_string(), files.to_json()),
-                    ("functions".to_string(), functions.to_json()),
-                ];
-                if !removed.is_empty() {
-                    members.push((
-                        "removed".to_string(),
-                        Value::Arr(removed.iter().map(render_unit_diagnostic).collect()),
-                    ));
-                }
-                Response::ok(id, Value::Obj(members))
-            }
-            JobOutcome::DiffDone {
-                revision,
-                introduced,
-                fixed,
-                moved,
-                left_behind,
-                lines,
-            } => Response::ok(
-                id,
-                obj([
-                    ("revision", revision.to_json()),
-                    ("introduced", introduced.to_json()),
-                    ("fixed", fixed.to_json()),
-                    ("moved", moved.to_json()),
-                    ("left_behind", left_behind.to_json()),
-                    (
-                        "lines",
-                        Value::Arr(lines.iter().map(|l| l.as_str().into()).collect()),
-                    ),
-                ]),
-            ),
-            JobOutcome::FixcheckDone {
-                revision,
-                fixed,
-                introduced,
-                incomplete,
-                clean,
-                lines,
-            } => Response::ok(
-                id,
-                obj([
-                    ("revision", revision.to_json()),
-                    ("fixed", fixed.to_json()),
-                    ("introduced", introduced.to_json()),
-                    ("incomplete", incomplete.to_json()),
-                    ("clean", clean.into()),
-                    (
-                        "lines",
-                        Value::Arr(lines.iter().map(|l| l.as_str().into()).collect()),
-                    ),
-                ]),
-            ),
+            JobOutcome::Done(result) => Response::ok(id, result),
             JobOutcome::Cancelled(reason) => {
                 let kind = match reason {
                     CancelReason::DeadlineExceeded => {
@@ -708,16 +619,18 @@ fn run_job(
 ) -> JobOutcome {
     let cfg = &shared.cfg;
     let counters = &shared.counters;
-    if let Err(c) = job.cancel.check() {
+    let cancelled = |c: Cancelled| {
         counters.audits_cancelled.fetch_add(1, Ordering::SeqCst);
-        return JobOutcome::Cancelled(c.reason);
+        JobOutcome::Cancelled(c.reason)
+    };
+    if let Err(c) = job.cancel.check() {
+        return cancelled(c);
     }
     // Fault-harness stall, in cancellable slices.
     let mut stall = cfg.inject_audit_delay_ms;
     while stall > 0 {
         if let Err(c) = job.cancel.check() {
-            counters.audits_cancelled.fetch_add(1, Ordering::SeqCst);
-            return JobOutcome::Cancelled(c.reason);
+            return cancelled(c);
         }
         let step = stall.min(5);
         std::thread::sleep(Duration::from_millis(step));
@@ -744,8 +657,7 @@ fn run_job(
     let mut attempt: u32 = 0;
     let project = loop {
         if let Err(c) = job.cancel.check() {
-            counters.audits_cancelled.fetch_add(1, Ordering::SeqCst);
-            return JobOutcome::Cancelled(c.reason);
+            return cancelled(c);
         }
         match Project::scan_with(&cfg.root, &cfg.scan) {
             Ok(p) => break p,
@@ -761,56 +673,49 @@ fn run_job(
             }
         }
     };
-    // A fixcheck job audits both sides of the fix itself (through the
-    // same shared cache, so only the diffed units re-parse); its diff
-    // errors are the client's fault and map to `bad_request`.
-    if let JobKind::Fixcheck(diff_text) = &job.kind {
-        return match fixcheck_project(&project, diff_text, &cfg.audit, cache) {
-            Ok(fr) => {
-                *revision += 1;
-                let snap = Arc::new(Snapshot::from_report(*revision, &fr.report));
-                *shared.snapshot.lock().unwrap() = Arc::clone(&snap);
-                if cfg.cache_dir.is_some() && cache.save().is_err() {
-                    counters.cache_save_failures.fetch_add(1, Ordering::SeqCst);
-                }
-                counters.audits_ok.fetch_add(1, Ordering::SeqCst);
-                *last_project = Some(project);
-                JobOutcome::FixcheckDone {
-                    revision: snap.revision,
-                    fixed: fr.fixed.len(),
-                    introduced: fr.introduced.len(),
-                    incomplete: fr.incomplete_total(),
-                    clean: fr.is_clean(),
-                    lines: render_fixcheck_lines(&fr),
-                }
-            }
-            Err(msg) => JobOutcome::Rejected(msg),
-        };
-    }
-    match audit_cancellable(&project, &cfg.audit, cache, &cfg.trace, &job.cancel) {
-        Ok(report) => {
-            *revision += 1;
-            let snap = Arc::new(Snapshot::from_report(*revision, &report));
-            // The swap is the only mutation readers can observe, and
-            // it is atomic: a query sees the old complete snapshot or
-            // the new complete snapshot, never a mix. For a diff job
-            // the displaced snapshot *is* revision A.
-            let prev = {
-                let mut guard = shared.snapshot.lock().unwrap();
-                std::mem::replace(&mut *guard, Arc::clone(&snap))
+    // Every kind of job audits under its own token and the engine's
+    // trace, then renders its result for the revision it is about to
+    // publish. A cancelled or rejected job publishes nothing.
+    let next = *revision + 1;
+    let lines_value = |lines: Vec<String>| Value::Arr(lines.into_iter().map(Value::Str).collect());
+    let (report, result) = match &job.kind {
+        // A fixcheck job audits both sides of the fix (through the
+        // same shared cache, so only the diffed units re-parse); its
+        // diff errors are the client's fault and map to `bad_request`.
+        JobKind::Fixcheck(diff_text) => {
+            let fr = match fixcheck_project(
+                &project,
+                diff_text,
+                &cfg.audit,
+                cache,
+                &cfg.trace,
+                &job.cancel,
+            ) {
+                Ok(Ok(fr)) => fr,
+                Ok(Err(msg)) => return JobOutcome::Rejected(msg),
+                Err(c) => return cancelled(c),
             };
-            if cfg.cache_dir.is_some() {
-                // A failed save (disk full, injected fault) degrades
-                // persistence, not serving: the snapshot already
-                // swapped, and the atomic tmp+rename protocol means a
-                // torn save can't corrupt the existing cache file.
-                if cache.save().is_err() {
-                    counters.cache_save_failures.fetch_add(1, Ordering::SeqCst);
-                }
-            }
-            counters.audits_ok.fetch_add(1, Ordering::SeqCst);
-            let outcome = match &job.kind {
+            let result = obj([
+                ("revision", next.to_json()),
+                ("fixed", fr.delta.fixed.len().to_json()),
+                ("introduced", fr.delta.introduced.len().to_json()),
+                ("incomplete", fr.delta.left_behind_total().to_json()),
+                ("clean", fr.delta.is_clean().into()),
+                ("lines", lines_value(render_fixcheck_lines(&fr))),
+            ]);
+            (fr.report, result)
+        }
+        kind => {
+            let report =
+                match audit_cancellable(&project, &cfg.audit, cache, &cfg.trace, &job.cancel) {
+                    Ok(r) => r,
+                    Err(c) => return cancelled(c),
+                };
+            let result = match kind {
+                // The snapshot this job's publish displaces is
+                // revision A of the delta.
                 JobKind::Diff => {
+                    let prev = Arc::clone(&shared.snapshot.lock().unwrap());
                     let delta = diff_delta(
                         &prev.findings,
                         &report.findings,
@@ -819,29 +724,49 @@ fn run_job(
                         &report.kb,
                         true,
                     );
-                    JobOutcome::DiffDone {
-                        revision: snap.revision,
-                        introduced: delta.introduced.len(),
-                        fixed: delta.fixed.len(),
-                        moved: delta.moved.len(),
-                        left_behind: delta.left_behind_total(),
-                        lines: render_diff_lines(&delta),
-                    }
+                    obj([
+                        ("revision", next.to_json()),
+                        ("introduced", delta.introduced.len().to_json()),
+                        ("fixed", delta.fixed.len().to_json()),
+                        ("moved", delta.moved.len().to_json()),
+                        ("left_behind", delta.left_behind_total().to_json()),
+                        ("lines", lines_value(render_diff_lines(&delta))),
+                    ])
                 }
-                _ => JobOutcome::Done {
-                    revision: snap.revision,
-                    findings: snap.findings.len(),
-                    files: snap.files,
-                    functions: snap.functions,
-                    removed,
-                },
+                _ => {
+                    let mut members = vec![
+                        ("revision".to_string(), next.to_json()),
+                        ("findings".to_string(), report.findings.len().to_json()),
+                        ("files".to_string(), report.files.to_json()),
+                        ("functions".to_string(), report.functions.to_json()),
+                    ];
+                    if !removed.is_empty() {
+                        members.push((
+                            "removed".to_string(),
+                            Value::Arr(removed.iter().map(render_unit_diagnostic).collect()),
+                        ));
+                    }
+                    Value::Obj(members)
+                }
             };
-            *last_project = Some(project);
-            outcome
+            (report, result)
         }
-        Err(c) => {
-            counters.audits_cancelled.fetch_add(1, Ordering::SeqCst);
-            JobOutcome::Cancelled(c.reason)
+    };
+    // The one publish path. The swap is the only mutation readers can
+    // observe, and it is atomic: a query sees the old complete
+    // snapshot or the new complete snapshot, never a mix.
+    *revision = next;
+    *shared.snapshot.lock().unwrap() = Arc::new(Snapshot::from_report(next, &report));
+    if cfg.cache_dir.is_some() {
+        // A failed save (disk full, injected fault) degrades
+        // persistence, not serving: the snapshot already swapped, and
+        // the atomic tmp+rename protocol means a torn save can't
+        // corrupt the existing cache file.
+        if cache.save().is_err() {
+            counters.cache_save_failures.fetch_add(1, Ordering::SeqCst);
         }
     }
+    counters.audits_ok.fetch_add(1, Ordering::SeqCst);
+    *last_project = Some(project);
+    JobOutcome::Done(result)
 }

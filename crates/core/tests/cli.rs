@@ -581,6 +581,41 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// `sweep --at FILE:LINE` matches FILE on a `/` boundary: `x.c` names
+/// `drivers/b/x.c`, never `drivers/a/ax.c`, even though the latter
+/// also ends in `x.c` and sorts first.
+#[test]
+fn sweep_at_seeds_from_a_whole_path_component() {
+    let dir = scratch_dir("sweep_seed");
+    let ax = "static int ax_probe(void)\n{\n\tstruct device_node *np;\n\
+              \tnp = of_find_node_by_name(NULL, \"ax\");\n\tif (!np)\n\t\treturn -ENODEV;\n\
+              \tif (ax_setup(np))\n\t\treturn -EIO;\n\tof_node_put(np);\n\treturn 0;\n}\n";
+    for (path, text) in [
+        ("drivers/a/ax.c", ax.to_string()),
+        ("drivers/b/x.c", ax.replace("ax", "x")),
+    ] {
+        let file = dir.join(path);
+        std::fs::create_dir_all(file.parent().unwrap()).expect("mkdir");
+        std::fs::write(file, text).expect("write unit");
+    }
+    let out = refminer()
+        .args(["sweep", "--at", "x.c:4"])
+        .arg(&dir)
+        .output()
+        .expect("run sweep");
+    assert_eq!(out.status.code(), Some(1), "the other site is a clone");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.starts_with("template: P4 of_find_node_by_name in drivers/b/x.c:4 "),
+        "seed must be drivers/b/x.c: {stdout}"
+    );
+    assert!(
+        stdout.contains("% drivers/a/ax.c:4:"),
+        "drivers/a/ax.c is the clone: {stdout}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 fn histgen() -> Command {
     Command::new(env!("CARGO_BIN_EXE_histgen"))
 }
@@ -591,19 +626,7 @@ fn histgen() -> Command {
 fn diff_between(a: &std::path::Path, b: &std::path::Path) -> String {
     let pa = refminer::Project::scan(a).expect("scan rev a");
     let pb = refminer::Project::scan(b).expect("scan rev b");
-    let old: std::collections::HashMap<&str, &str> = pa
-        .units()
-        .iter()
-        .map(|u| (u.path.as_str(), u.text.as_str()))
-        .collect();
-    let mut out = String::new();
-    for u in pb.units() {
-        let prev = old.get(u.path.as_str()).copied().unwrap_or("");
-        if let Some(d) = refminer::render_file_diff(&u.path, prev, &u.text) {
-            out.push_str(&d);
-        }
-    }
-    out
+    refminer::render_tree_diff(&pa, &pb)
 }
 
 #[test]

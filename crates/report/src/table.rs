@@ -29,7 +29,6 @@ pub struct Table {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
     aligns: Vec<Align>,
-    title: Option<String>,
 }
 
 impl Table {
@@ -41,14 +40,7 @@ impl Table {
             headers,
             rows: Vec::new(),
             aligns,
-            title: None,
         }
-    }
-
-    /// Sets a title printed above the table.
-    pub fn with_title(mut self, title: impl Into<String>) -> Table {
-        self.title = Some(title.into());
-        self
     }
 
     /// Sets the alignment of column `i`.
@@ -103,10 +95,6 @@ impl Table {
             }
         }
         let mut out = String::new();
-        if let Some(title) = &self.title {
-            out.push_str(title);
-            out.push('\n');
-        }
         let rule: String = widths
             .iter()
             .map(|w| "-".repeat(w + 2))
@@ -136,40 +124,6 @@ impl Table {
                 out.push_str(&rule);
             } else {
                 out.push_str(&fmt_row(row));
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Renders the table as GitHub-flavored Markdown.
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        if let Some(title) = &self.title {
-            out.push_str(&format!("### {title}\n\n"));
-        }
-        let escape = |s: &str| s.replace('|', "\\|");
-        out.push('|');
-        for h in &self.headers {
-            out.push_str(&format!(" {} |", escape(h)));
-        }
-        out.push('\n');
-        out.push('|');
-        for a in &self.aligns {
-            out.push_str(match a {
-                Align::Left => "---|",
-                Align::Right => "---:|",
-            });
-        }
-        out.push('\n');
-        for row in &self.rows {
-            if row[0] == "\u{0}" {
-                continue; // Markdown has no mid-table rules.
-            }
-            out.push('|');
-            for i in 0..self.headers.len() {
-                let cell = row.get(i).map(String::as_str).unwrap_or("");
-                out.push_str(&format!(" {} |", escape(cell)));
             }
             out.push('\n');
         }
@@ -259,31 +213,5 @@ mod tests {
         let mut t = Table::new(vec!["a", "b", "c"]);
         t.row(vec!["only".into()]);
         assert!(t.render().contains("only"));
-    }
-}
-
-#[cfg(test)]
-mod markdown_tests {
-    use super::*;
-
-    #[test]
-    fn markdown_output() {
-        let mut t = Table::new(vec!["name", "count"]).numeric();
-        t.row(vec!["drivers".into(), "588".into()]);
-        t.rule();
-        t.row(vec!["with|pipe".into(), "1".into()]);
-        let md = t.to_markdown();
-        let lines: Vec<&str> = md.lines().collect();
-        assert_eq!(lines[0], "| name | count |");
-        assert_eq!(lines[1], "|---|---:|");
-        assert_eq!(lines[2], "| drivers | 588 |");
-        // Rules are dropped; pipes escaped.
-        assert_eq!(lines[3], "| with\\|pipe | 1 |");
-    }
-
-    #[test]
-    fn markdown_title() {
-        let t = Table::new(vec!["a"]).with_title("Table X");
-        assert!(t.to_markdown().starts_with("### Table X"));
     }
 }

@@ -10,7 +10,10 @@
 #      introduced, nothing left behind;
 #   3. the JSONL bytes are identical across `--jobs` settings and cache
 #      temperature (warm shared cache vs cold cache-less run);
-#   4. a malformed diff exits 2 with a diagnostic, not a panic.
+#   4. fixcheck agrees with `refminer diff` on the same two revisions:
+#      the same fixed findings, and its `incomplete` lines name exactly
+#      the findings diff reports as `left_behind`;
+#   5. a malformed diff exits 2 with a diagnostic, not a panic.
 #
 # Env:
 #   REFMINER_BIN  prebuilt refminer binary; default `cargo run`
@@ -78,6 +81,28 @@ for rev in $revs; do
         || fail "commit $commit: exit codes differ across jobs/cache"
     cmp -s "$outdir/fc_warm.jsonl" "$outdir/fc_cold.jsonl" \
         || fail "commit $commit: fixcheck bytes differ across jobs/cache temperature"
+
+    # fixcheck is the diff pipeline run over the reverse-applied tree,
+    # so both must report the same fixed findings and the same
+    # left-behind clones (compared as multisets of finding objects).
+    refminer diff --json --jobs 1 "$prev" "$cur" > "$outdir/diff.jsonl"
+    [ $? -le 1 ] || fail "commit $commit: refminer diff failed"
+    python3 - "$outdir/diff.jsonl" "$outdir/fc_warm.jsonl" <<'EOF' \
+        || fail "commit $commit: diff and fixcheck disagree"
+import collections, json, sys
+diff = [json.loads(l) for l in open(sys.argv[1])]
+fixcheck = [json.loads(l) for l in open(sys.argv[2])]
+def bag(rows, key, tag, finding):
+    return collections.Counter(
+        json.dumps(finding(r), sort_keys=True) for r in rows if r.get(key) == tag
+    )
+from_diff = lambda r: r["finding"]
+from_line = lambda r: json.loads(r["line"])
+assert bag(diff, "delta", "fixed", from_diff) == bag(fixcheck, "fixcheck", "fixed", from_line), \
+    "fixed findings differ"
+assert bag(diff, "delta", "left_behind", from_diff) == \
+    bag(fixcheck, "fixcheck", "incomplete", from_line), "left-behind clones differ"
+EOF
 
     # The groups this commit repaired, per the generator's ground truth.
     groups=$(python3 - "$hist/history.json" "$rev" <<'EOF'
